@@ -1,5 +1,6 @@
 // Microbenchmarks for the substrates (google-benchmark): crypto, wire
-// serialization, the event queue, H-graph maintenance, and walk stepping.
+// serialization, the event queue, network dispatch, the group-message
+// receiver, H-graph maintenance, and walk stepping.
 #include <benchmark/benchmark.h>
 
 #include "common/binomial.h"
@@ -12,6 +13,7 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "overlay/gossip.h"
+#include "overlay/group_message.h"
 #include "overlay/hgraph.h"
 #include "overlay/random_walk.h"
 #include "sim/simulator.h"
@@ -166,6 +168,89 @@ static void BM_VouchFanoutCached(benchmark::State& state) {
   run_vouch_bench(state, [](const net::Payload& p) { return p.digest(); });
 }
 BENCHMARK(BM_VouchFanoutCached)->Arg(8)->Arg(64);
+
+// Group-message receiver, per frame: a 7-member sender group vouches for
+// one 128 B body, 4 ranks with the full frame and 3 with its digest (all
+// full senders share one buffer, so the receiver hashes once per id). Arg
+// 0: every round is a fresh id, so each frame takes the vouch path and the
+// round delivers. Arg 1: every round replays one delivered id, so each
+// frame is a dedup drop. Includes the network send + dispatch of each
+// frame (BM_NetDispatch alone) and the encoding of the two frames per
+// round.
+static void BM_GroupReceiverFrame(benchmark::State& state) {
+  const bool duplicate = state.range(0) == 1;
+  constexpr GroupId kGroup = 9;
+  constexpr NodeId kReceiver = 100;
+  constexpr std::size_t kSenders = 7;
+  constexpr std::size_t kFull = kSenders / 2 + 1;
+  sim::Simulator sim;
+  net::SimNetwork net(sim, net::NetworkConfig::datacenter());
+  std::uint64_t delivered = 0;
+  overlay::GroupMessageReceiver rx(
+      net::Transport(net, kReceiver),
+      [&delivered](const overlay::GroupMessageId&, NodeId, net::Payload) { ++delivered; });
+  rx.set_group_size_fn([](GroupId) -> std::optional<std::size_t> { return kSenders; });
+  rx.set_membership_fn([](GroupId, NodeId n) { return n >= 1 && n <= kSenders; });
+  const Bytes body(128, 0x42);
+  const crypto::Digest digest = crypto::sha256(body);
+  auto send_round = [&](std::uint64_t seq) {
+    ByteWriter full;
+    full.u64(kGroup);
+    full.u64(seq);
+    full.bytes(body);
+    ByteWriter dig;
+    dig.u64(kGroup);
+    dig.u64(seq);
+    dig.raw(digest.data(), digest.size());
+    net::Payload full_frame(full.take()), digest_frame(dig.take());
+    for (NodeId s = 1; s <= kSenders; ++s) {
+      const bool is_full = s <= kFull;
+      net.send(net::Message{s, kReceiver,
+                            is_full ? net::MsgType::kGroupMsgFull : net::MsgType::kGroupMsgDigest,
+                            is_full ? full_frame : digest_frame});
+    }
+    sim.run();
+  };
+  std::uint64_t seq = 1;
+  if (duplicate) send_round(seq);
+  for (auto _ : state) {
+    send_round(duplicate ? seq : ++seq);
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kSenders));
+}
+BENCHMARK(BM_GroupReceiverFrame)->Arg(0)->Arg(1);
+
+// SimNetwork per message: send plus delivery of one message to a node with
+// 12 typed handlers (an Atum node registers about that many: PBFT, group
+// messages, heartbeats, joins), cycling through the types.
+static void BM_NetDispatch(benchmark::State& state) {
+  const net::MsgType types[] = {
+      net::MsgType::kPbftRequest,     net::MsgType::kPbftPrePrepare,
+      net::MsgType::kPbftPrepare,     net::MsgType::kPbftCommit,
+      net::MsgType::kPbftViewChange,  net::MsgType::kPbftNewView,
+      net::MsgType::kPbftCheckpoint,  net::MsgType::kGroupMsgFull,
+      net::MsgType::kGroupMsgDigest,  net::MsgType::kGroupMsgEnvelope,
+      net::MsgType::kHeartbeat,       net::MsgType::kJoinRequest,
+  };
+  sim::Simulator sim;
+  net::SimNetwork net(sim, net::NetworkConfig::datacenter());
+  std::uint64_t handled = 0;
+  for (net::MsgType t : types) {
+    net.attach(1, t, [&handled](const net::Message&) { ++handled; });
+  }
+  const net::Payload payload(Bytes(64, 0x17));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    net.send(net::Message{0, 1, types[i], payload});
+    sim.step();
+    i = (i + 1) % std::size(types);
+  }
+  benchmark::DoNotOptimize(handled);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_NetDispatch);
 
 // One PBFT group of 4 deciding a backlog of 64-byte ops at the given batch
 // cap, wall-clock per decided op. batch 1 is classic PBFT; 4 and 16 show

@@ -23,8 +23,8 @@
 //    the same timing but stronger unpredictability. §5.1's key point —
 //    numbers minted only once their purpose is fixed — is preserved.
 //  * full-group shuffling, split and merge dynamics are modelled at vgroup
-//    granularity in group::ClusterSim (see DESIGN.md); the node-level
-//    runtime keeps vgroups static in size apart from join/leave/eviction.
+//    granularity in group::ClusterSim; the node-level runtime keeps
+//    vgroups static in size apart from join/leave/eviction.
 //
 // Payload ownership (README "Payload API"): broadcast() freezes the
 // application bytes once; everything above the transport then works on

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/serde.h"
@@ -41,9 +40,9 @@ class VGroupState {
   VGroupState() = default;
   VGroupState(GroupId id, std::vector<NodeId> members, std::size_t cycles);
 
-  GroupId id() const { return id_; }
-  const std::vector<NodeId>& members() const { return members_; }
-  std::size_t size() const { return members_.size(); }
+  GroupId id() const { return self_.id; }
+  const std::vector<NodeId>& members() const { return self_.members; }
+  std::size_t size() const { return self_.members.size(); }
   std::size_t cycle_count() const { return neighbors_.size(); }
   bool has_member(NodeId n) const;
 
@@ -61,15 +60,16 @@ class VGroupState {
   std::vector<overlay::NeighborRef> neighbor_refs() const;
 
   // Looks up a neighboring group's composition (for group-message
-  // acceptance); also matches this group itself.
-  std::optional<GroupView> find_group(GroupId g) const;
+  // acceptance); also matches this group itself. Points into this state
+  // (no copy: the receiver asks once or twice per arriving frame); null if
+  // the group is unknown. Valid until the next mutation.
+  const GroupView* find_group(GroupId g) const;
 
   // All distinct groups this member must keep track of (self + neighbors).
   std::vector<GroupView> known_groups() const;
 
  private:
-  GroupId id_ = kInvalidGroup;
-  std::vector<NodeId> members_;
+  GroupView self_;  // this vgroup's own view; members sorted
   std::vector<CycleNeighbors> neighbors_;
 };
 

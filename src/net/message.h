@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -47,6 +48,42 @@ enum class MsgType : std::uint16_t {
   kStreamPull = 0x0504,
   kStreamChunk = 0x0505,
 };
+
+// Number of MsgType enumerators: the size of a per-node dispatch table.
+inline constexpr std::size_t kMsgTypeSlots = 23;
+
+// Dense dispatch slot of a MsgType, in [0, kMsgTypeSlots). Exhaustive and
+// without a default, so -Wswitch (an error under -Werror) rejects a new
+// enumerator that has no slot. A value outside the enum maps to
+// kMsgTypeSlots.
+constexpr std::size_t msg_type_slot(MsgType type) {
+  switch (type) {
+    case MsgType::kDsBroadcast: return 0;
+    case MsgType::kPbftRequest: return 1;
+    case MsgType::kPbftPrePrepare: return 2;
+    case MsgType::kPbftPrepare: return 3;
+    case MsgType::kPbftCommit: return 4;
+    case MsgType::kPbftViewChange: return 5;
+    case MsgType::kPbftNewView: return 6;
+    case MsgType::kPbftCheckpoint: return 7;
+    case MsgType::kPbftStateFetch: return 8;
+    case MsgType::kPbftStateReply: return 9;
+    case MsgType::kSmrRemovalNotice: return 10;
+    case MsgType::kGroupMsgFull: return 11;
+    case MsgType::kGroupMsgDigest: return 12;
+    case MsgType::kGroupMsgEnvelope: return 13;
+    case MsgType::kHeartbeat: return 14;
+    case MsgType::kJoinRequest: return 15;
+    case MsgType::kJoinReply: return 16;
+    case MsgType::kAppData: return 17;
+    case MsgType::kChunkRequest: return 18;
+    case MsgType::kChunkReply: return 19;
+    case MsgType::kStreamPush: return 20;
+    case MsgType::kStreamPull: return 21;
+    case MsgType::kStreamChunk: return 22;
+  }
+  return kMsgTypeSlots;
+}
 
 // Immutable, reference-counted view of a message body.
 //

@@ -82,7 +82,11 @@ void SimNetwork::attach(NodeId node, MessageHandler handler) {
 }
 
 void SimNetwork::attach(NodeId node, MsgType type, MessageHandler handler) {
-  handlers_[node].by_type[static_cast<std::uint16_t>(type)] = std::move(handler);
+  const std::size_t slot = msg_type_slot(type);
+  if (slot == kMsgTypeSlots) throw std::invalid_argument("SimNetwork::attach: unknown MsgType");
+  NodeHandlers& h = handlers_[node];
+  if (!h.by_type[slot]) ++h.typed;
+  h.by_type[slot] = std::move(handler);
 }
 
 void SimNetwork::detach(NodeId node) {
@@ -95,16 +99,20 @@ void SimNetwork::detach(NodeId node) {
 void SimNetwork::detach(NodeId node, MsgType type) {
   auto it = handlers_.find(node);
   if (it == handlers_.end()) return;
-  it->second.by_type.erase(static_cast<std::uint16_t>(type));
+  const std::size_t slot = msg_type_slot(type);
+  if (slot == kMsgTypeSlots || !it->second.by_type[slot]) return;
+  it->second.by_type[slot] = nullptr;
+  --it->second.typed;
   if (it->second.empty()) handlers_.erase(it);
 }
 
 const MessageHandler* SimNetwork::handler_for(NodeId node, MsgType type) const {
   auto it = handlers_.find(node);
   if (it == handlers_.end()) return nullptr;
-  auto tit = it->second.by_type.find(static_cast<std::uint16_t>(type));
-  if (tit != it->second.by_type.end()) return &tit->second;
-  if (it->second.fallback) return &it->second.fallback;
+  const NodeHandlers& h = it->second;
+  const std::size_t slot = msg_type_slot(type);
+  if (slot != kMsgTypeSlots && h.by_type[slot]) return &h.by_type[slot];
+  if (h.fallback) return &h.fallback;
   return nullptr;
 }
 

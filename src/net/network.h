@@ -9,6 +9,7 @@
 // base + exponential jitter, or a region matrix in WAN mode.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -65,10 +66,9 @@ struct NetworkStats {
 };
 
 // Registered once per node/type at bind time, invoked per delivery. The
-// per-message cost is one indirect call with no allocation — the hot-path
-// allocation problem std::function caused lived in the per-EVENT closures,
-// which sim::EventFn replaced. If a profile ever shows this dispatch, the
-// EventFn treatment applies here too.
+// per-message cost is one node lookup, one array index and one indirect
+// call with no allocation — the hot-path allocation problem std::function
+// caused lived in the per-EVENT closures, which sim::EventFn replaced.
 // lint: std-function-ok(bind-time registration; invoke is alloc-free)
 using MessageHandler = std::function<void(const Message&)>;
 
@@ -169,8 +169,10 @@ class SimNetwork {
 
   struct NodeHandlers {
     MessageHandler fallback;
-    std::unordered_map<std::uint16_t, MessageHandler> by_type;
-    bool empty() const { return !fallback && by_type.empty(); }
+    // Indexed by msg_type_slot(): no second hash lookup per delivery.
+    std::array<MessageHandler, kMsgTypeSlots> by_type;
+    std::size_t typed = 0;  // non-empty by_type slots
+    bool empty() const { return !fallback && typed == 0; }
   };
   const MessageHandler* handler_for(NodeId node, MsgType type) const;
 

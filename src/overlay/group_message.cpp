@@ -78,13 +78,31 @@ GroupMessageReceiver::~GroupMessageReceiver() { transport_.close(); }
 void GroupMessageReceiver::gc_tombstones() {
   const TimeMicros now = transport_.simulator().now();
   while (!gc_queue_.empty() && gc_queue_.front().first <= now) {
-    auto it = pending_.find(gc_queue_.front().second);
+    auto it = entries_.find(gc_queue_.front().second);
+    gc_queue_.pop_front();
     // The entry's own deadline is authoritative: delivery pushes it past
     // the creation-time queue entry, so a freshly delivered tombstone is
-    // skipped here and collected by its second queue entry.
-    if (it != pending_.end() && it->second.expires_at <= now) pending_.erase(it);
-    gc_queue_.pop_front();
+    // skipped here and settled by its second queue entry. A settled entry
+    // stays behind for dedup until rotation erases it.
+    if (it == entries_.end() || it->second.expires_at > now) continue;
+    if (it->second.state == State::kBuffering) {
+      entries_.erase(it);
+    } else if (it->second.state == State::kTombstone) {
+      it->second.state = State::kDelivered;
+      --tombstones_;
+    }
   }
+}
+
+template <typename Pred>
+std::vector<GroupMessageId> GroupMessageReceiver::sorted_ids(Pred pred) const {
+  std::vector<GroupMessageId> ids;
+  // lint: unordered-iter-ok(sorted below)
+  for (const auto& [id, e] : entries_) {
+    if (pred(e)) ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 void GroupMessageReceiver::maybe_rotate_delivered() {
@@ -94,9 +112,17 @@ void GroupMessageReceiver::maybe_rotate_delivered() {
     return;
   }
   if (now < delivered_rotate_at_) return;
-  delivered_prev_ = std::move(delivered_recent_);
-  delivered_recent_.clear();
+  ++generation_;
   delivered_rotate_at_ = now + 8 * tombstone_ttl_;
+  auto stale = sorted_ids([this](const Entry& e) {
+    return e.state != State::kBuffering && e.generation + 2 <= generation_;
+  });
+  for (const GroupMessageId& id : stale) {
+    auto it = entries_.find(id);
+    if (it->second.state == State::kTombstone) --tombstones_;
+    --delivered_;
+    entries_.erase(it);
+  }
 }
 
 void GroupMessageReceiver::on_message(const net::Message& msg) {
@@ -158,62 +184,75 @@ void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payloa
   }
 
   if (membership_ && !membership_(id.from_group, from)) return;
-  // Post-TTL duplicate: the tombstone is gone but the rolling delivered-id
-  // set still remembers the delivery — drop it before it can mint a fresh
-  // Pending entry and re-deliver.
-  if (recently_delivered(id)) return;
 
-  Pending& p = pending_[id];
-  if (p.expires_at == 0) {
+  auto [it, fresh] = entries_.try_emplace(id);
+  Entry& e = it->second;
+  if (fresh) {
     // New entry: even if it never delivers (digest-only flood, content
-    // short of majority, unknown sender group) it expires after an epoch.
-    p.expires_at = transport_.simulator().now() + tombstone_ttl_;
-    gc_queue_.emplace_back(p.expires_at, id);
+    // short of majority, unknown sender group) it expires after a TTL.
+    e.expires_at = transport_.simulator().now() + tombstone_ttl_;
+    gc_queue_.emplace_back(e.expires_at, id);
   }
-  if (p.delivered) return;
+  // Duplicate of a delivered id (a tombstone, or later, inside the
+  // rotation window): dropped before it can re-deliver.
+  if (e.state != State::kBuffering) return;
 
-  auto& vouchers = p.vouches[digest];
-  if (std::find(vouchers.begin(), vouchers.end(), from) == vouchers.end()) {
-    vouchers.push_back(from);
+  auto cit = std::lower_bound(e.candidates.begin(), e.candidates.end(), digest,
+                              [](const Candidate& c, const crypto::Digest& d) {
+                                return c.digest < d;
+                              });
+  if (cit == e.candidates.end() || cit->digest != digest) {
+    cit = e.candidates.insert(cit, Candidate{});
+    cit->digest = digest;
   }
-  if (is_full && !p.payloads.contains(digest)) {
-    p.payloads[digest] = {std::move(payload), from};
+  if (std::find(cit->vouchers.begin(), cit->vouchers.end(), from) == cit->vouchers.end()) {
+    cit->vouchers.push_back(from);
   }
-  try_deliver(id, p);
+  if (is_full && !cit->has_payload) {
+    cit->payload = std::move(payload);
+    cit->relay = from;
+    cit->has_payload = true;
+  }
+  try_deliver(id, e);
 }
 
-void GroupMessageReceiver::try_deliver(const GroupMessageId& id, Pending& p) {
-  if (p.delivered) return;
+void GroupMessageReceiver::try_deliver(const GroupMessageId& id, Entry& e) {
+  if (e.state != State::kBuffering) return;
   std::optional<std::size_t> size;
   if (group_size_) size = group_size_(id.from_group);
   if (!size) return;  // unknown sender group: keep buffering
   std::size_t majority = *size / 2 + 1;
 
-  for (const auto& [digest, vouchers] : p.vouches) {
-    if (vouchers.size() < majority) continue;
-    auto pit = p.payloads.find(digest);
-    if (pit == p.payloads.end()) continue;  // majority but no full copy yet
-    p.delivered = true;
-    // Keep the tombstone (for a full epoch from now) so duplicates are not
-    // re-delivered; drop the buffered data now.
-    net::Payload payload = std::move(pit->second.first);
-    NodeId relay = pit->second.second;
+  for (Candidate& c : e.candidates) {
+    if (c.vouchers.size() < majority) continue;
+    if (!c.has_payload) continue;  // majority but no full copy yet
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->record(transport_.simulator().now(), transport_.self(), obs::TracePoint::kVouch,
-                      id.seq, vouchers.size(), id.from_group);
+                      id.seq, c.vouchers.size(), id.from_group);
     }
-    p.vouches.clear();
-    p.payloads.clear();
-    p.expires_at = transport_.simulator().now() + tombstone_ttl_;
-    gc_queue_.emplace_back(p.expires_at, id);
-    delivered_recent_.insert(id);  // outlives the tombstone (rolling dedup)
+    // Keep a tombstone for a full TTL from now; drop the buffered data.
+    net::Payload payload = std::move(c.payload);
+    NodeId relay = c.relay;
+    e.candidates = std::vector<Candidate>();  // releases the capacity too
+    e.state = State::kTombstone;
+    e.generation = generation_;
+    e.expires_at = transport_.simulator().now() + tombstone_ttl_;
+    gc_queue_.emplace_back(e.expires_at, id);
+    ++delivered_;
+    ++tombstones_;
     deliver_(id, relay, std::move(payload));
     return;
   }
 }
 
 void GroupMessageReceiver::reevaluate() {
-  for (auto& [id, p] : pending_) try_deliver(id, p);
+  // In GroupMessageId order, independent of the hash layout; each id is
+  // re-found because a delivery callback may touch the table.
+  auto buffered = sorted_ids([](const Entry& e) { return e.state == State::kBuffering; });
+  for (const GroupMessageId& id : buffered) {
+    auto it = entries_.find(id);
+    if (it != entries_.end()) try_deliver(id, it->second);
+  }
 }
 
 }  // namespace atum::overlay

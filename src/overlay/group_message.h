@@ -14,17 +14,16 @@
 // Payload ownership (zero-copy path): the sender encodes + freezes the wire
 // frame exactly once per node (PreparedGroupMessage) and every destination
 // member shares that buffer. The receiver decodes the body as a refcounted
-// slice of the arriving frame (net::Payload::slice) — it is buffered in
-// Pending and handed to DeliverFn without ever being copied, so a node
-// materializes no bytes on the receive path at all.
+// slice of the arriving frame (net::Payload::slice) — it is buffered in the
+// receiver's table and handed to DeliverFn without ever being copied, so a
+// node materializes no bytes on the receive path at all.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
-#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -44,6 +43,18 @@ struct GroupMessageId {
   GroupId from_group = kInvalidGroup;
   std::uint64_t seq = 0;
   friend auto operator<=>(const GroupMessageId&, const GroupMessageId&) = default;
+};
+
+// Mixes both words: seq is a digest prefix only for broadcasts; walks and
+// neighbor updates number it with a counter, so neither word alone spreads.
+struct GroupMessageIdHash {
+  std::size_t operator()(const GroupMessageId& id) const noexcept {
+    std::uint64_t h = id.seq ^ (id.from_group * 0x9e3779b97f4a7c15ULL);
+    h ^= h >> 32;
+    h *= 0xd6e8feb86659fd93ULL;
+    h ^= h >> 32;
+    return static_cast<std::size_t>(h);
+  }
 };
 
 // One group message encoded on behalf of the local node, ready to fan out.
@@ -108,45 +119,55 @@ class GroupMessageReceiver {
   // count) at the instant majority vouching completes.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  // Every pending_ entry expires one epoch of simulated time after its
-  // last activity (creation, or delivery), then gets garbage-collected:
-  //  * delivered entries stay behind as tombstones so straggler duplicates
-  //    are not re-delivered — but not forever;
-  //  * undelivered entries (digest-only floods from a Byzantine member,
-  //    below-majority content, unknown sender groups) are buffering that
-  //    timed out — without an expiry one faulty node minting fresh ids
-  //    grows the map without bound.
-  // Behind the tombstones sits a compact rolling delivered-id set (two
-  // generations rotated every 8 TTLs): a duplicate arriving after its
-  // tombstone was collected is still dropped for at least 8 more TTLs —
-  // it would otherwise re-deliver and re-gossip, and for broadcasts the
-  // id's seq is the payload digest prefix, so the set IS a digest set.
-  // The set holds plain 16-byte ids (no payloads), bounded by the delivery
-  // rate over two rotation windows.
+  // One hashed table holds every id the receiver tracks. An entry is
+  // either buffering (collecting vouches) or delivered:
+  //  * a buffering entry expires one TTL of simulated time after creation
+  //    and is collected — digest-only floods from a Byzantine member,
+  //    below-majority content and unknown sender groups would otherwise
+  //    grow the table by one entry per fresh id forever;
+  //  * a delivered entry drops its buffered data and keeps the rotation
+  //    generation it was delivered in. For one TTL it counts as a
+  //    tombstone in pending_count(). Every 8 TTLs (lazily, on arrival) the
+  //    generation advances and delivered entries two generations old are
+  //    erased, so a duplicate is dropped for at least 8 TTLs after delivery
+  //    — it would otherwise re-deliver and re-gossip. For broadcasts the
+  //    id's seq is the payload digest prefix, so this window IS a digest
+  //    dedup set, bounded by the delivery rate over two rotation periods.
   void set_tombstone_ttl(DurationMicros ttl) { tombstone_ttl_ = ttl; }
 
   // Re-evaluates buffered messages (e.g. after learning a group's
   // composition through a neighbor update).
   void reevaluate();
 
-  // Buffered undelivered messages + not-yet-collected tombstones.
-  std::size_t pending_count() const { return pending_.size(); }
-  // Delivered ids currently remembered by the rolling dedup set (both
-  // generations); tests pin its bound under sustained delivery.
-  std::size_t delivered_dedup_count() const {
-    return delivered_recent_.size() + delivered_prev_.size();
-  }
+  // Buffered undelivered messages + tombstones younger than one TTL.
+  std::size_t pending_count() const { return entries_.size() - delivered_ + tombstones_; }
+  // Delivered ids currently remembered for dedup (the last two rotation
+  // generations).
+  std::size_t delivered_dedup_count() const { return delivered_; }
 
  private:
-  struct Pending {
-    // digest -> distinct vouching senders
-    std::map<crypto::Digest, std::vector<NodeId>> vouches;
-    // digest -> (full payload slice, first relay that provided it)
-    std::map<crypto::Digest, std::pair<net::Payload, NodeId>> payloads;
-    bool delivered = false;
-    // GC deadline; pushed forward on delivery so tombstones get a full
-    // epoch of dedup from the moment they deliver.
+  // One content candidate of a buffering entry.
+  struct Candidate {
+    crypto::Digest digest{};
+    std::vector<NodeId> vouchers;  // distinct vouching senders
+    net::Payload payload;          // full copy; valid iff has_payload
+    NodeId relay = kInvalidNode;   // first sender that provided it
+    bool has_payload = false;
+  };
+  enum class State : std::uint8_t {
+    kBuffering,
+    kTombstone,  // delivered less than one TTL ago
+    kDelivered,  // older; kept for dedup until rotation erases it
+  };
+  struct Entry {
+    // Buffering only, sorted by digest: try_deliver scans candidates in
+    // digest order, so an equivocating sender group delivers its lowest
+    // majority digest.
+    std::vector<Candidate> candidates;
+    // Buffering: collection deadline. Tombstone: end of its TTL.
     TimeMicros expires_at = 0;
+    std::uint32_t generation = 0;  // rotation generation of the delivery
+    State state = State::kBuffering;
   };
 
   void on_message(const net::Message& msg);
@@ -154,30 +175,30 @@ class GroupMessageReceiver {
   // message body or one inner frame of a coalesced envelope (`wire` is a
   // zero-copy slice of the envelope in that case).
   void on_frame(NodeId from, bool is_full, const net::Payload& wire);
-  void try_deliver(const GroupMessageId& id, Pending& p);
+  void try_deliver(const GroupMessageId& id, Entry& e);
   void gc_tombstones();
-  // Rotates the two delivered-id generations every 8 TTLs: an id stays
-  // dedup-covered for at least one full rotation period after delivery.
+  // Advances the generation every 8 TTLs and erases delivered entries two
+  // generations old: an id stays dedup-covered for at least one full
+  // rotation period after delivery.
   void maybe_rotate_delivered();
-  bool recently_delivered(const GroupMessageId& id) const {
-    return delivered_recent_.contains(id) || delivered_prev_.contains(id);
-  }
+  // The ids of entries matching `pred`, in GroupMessageId order.
+  template <typename Pred>
+  std::vector<GroupMessageId> sorted_ids(Pred pred) const;
 
   net::Transport transport_;
   DeliverFn deliver_;
   GroupSizeFn group_size_;
   MembershipFn membership_;
   obs::Tracer* tracer_ = nullptr;
-  std::map<GroupMessageId, Pending> pending_;
+  std::unordered_map<GroupMessageId, Entry, GroupMessageIdHash> entries_;
+  std::size_t delivered_ = 0;   // entries in kTombstone or kDelivered
+  std::size_t tombstones_ = 0;  // entries in kTombstone
   DurationMicros tombstone_ttl_ = 60 * kMicrosPerSecond;
-  // Candidate GC deadlines in arrival order (an id appears once at
-  // creation and once more if delivered — the entry's own expires_at is
+  // Candidate deadlines in arrival order (an id appears once at creation
+  // and once more if delivered — the entry's own expires_at is
   // authoritative); swept lazily on message arrival, O(1) amortized.
   std::deque<std::pair<TimeMicros, GroupMessageId>> gc_queue_;
-  // Rolling delivered-id dedup (see set_tombstone_ttl): recent holds ids
-  // delivered in the current rotation window, prev the window before.
-  std::set<GroupMessageId> delivered_recent_;
-  std::set<GroupMessageId> delivered_prev_;
+  std::uint32_t generation_ = 0;
   TimeMicros delivered_rotate_at_ = 0;
 };
 

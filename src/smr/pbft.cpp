@@ -682,7 +682,6 @@ void PbftSmr::maybe_stabilize() {
       if (digest == self_it->second) ++matching;
     }
     if (matching >= quorum()) {
-      if (it->first > stable_seq_ && ctr_checkpoints_ != nullptr) ctr_checkpoints_->inc();
       collect_garbage(it->first);
       return;
     }
@@ -700,6 +699,7 @@ void PbftSmr::trim_history() {
 void PbftSmr::collect_garbage(std::uint64_t stable_seq) {
   if (stable_seq <= stable_seq_) return;
   stable_seq_ = stable_seq;
+  if (ctr_checkpoints_ != nullptr) ctr_checkpoints_->inc();
   log_.erase(log_.begin(), log_.lower_bound(stable_seq + 1));
   checkpoints_.erase(checkpoints_.begin(), checkpoints_.upper_bound(stable_seq));
   // Promote our capture of this boundary to the served stable checkpoint

@@ -57,11 +57,28 @@ TEST(VGroupState, FindGroupSeesSelfAndNeighbors) {
   VGroupState s(1, {10, 11}, 1);
   s.set_successor(0, GroupView{2, {20}});
   s.set_predecessor(0, GroupView{3, {30}});
-  EXPECT_TRUE(s.find_group(1).has_value());
-  EXPECT_TRUE(s.find_group(2).has_value());
-  EXPECT_TRUE(s.find_group(3).has_value());
-  EXPECT_FALSE(s.find_group(99).has_value());
+  EXPECT_NE(s.find_group(1), nullptr);
+  EXPECT_NE(s.find_group(2), nullptr);
+  EXPECT_NE(s.find_group(3), nullptr);
+  EXPECT_EQ(s.find_group(99), nullptr);
   EXPECT_EQ(s.known_groups().size(), 3u);
+}
+
+// find_group runs once or twice per received group-message frame: it must
+// point at the stored views, never materialize a copy.
+TEST(VGroupState, FindGroupPointsAtStoredViewsWithoutCopy) {
+  VGroupState s(1, {11, 10}, 2);
+  s.set_successor(0, GroupView{2, {20}});
+  s.set_predecessor(1, GroupView{3, {30, 31}});
+  EXPECT_EQ(s.find_group(2), &s.cycle(0).successor);
+  EXPECT_EQ(s.find_group(3), &s.cycle(1).predecessor);
+  const GroupView* own = s.find_group(1);
+  ASSERT_NE(own, nullptr);
+  EXPECT_EQ(&own->members, &s.members());
+  EXPECT_EQ(own->members, (std::vector<NodeId>{10, 11}));
+  s.set_members({12, 10, 11});
+  EXPECT_EQ(s.find_group(1), own) << "the own view is a stable member";
+  EXPECT_EQ(own->members, (std::vector<NodeId>{10, 11, 12}));
 }
 
 TEST(VGroupOps, BroadcastRoundTrip) {

@@ -193,6 +193,76 @@ TEST_F(NetFixture, TransportClosesOnlyOwnRegistrations) {
   EXPECT_EQ(app, 1);
 }
 
+TEST_F(NetFixture, AttachDetachOneTypeLeavesOtherTypesAndFallback) {
+  auto net = make(cfg);
+  int fallback = 0, heartbeat = 0, join = 0, join2 = 0, app = 0;
+  net->attach(2, [&](const Message&) { ++fallback; });
+  net->attach(2, MsgType::kHeartbeat, [&](const Message&) { ++heartbeat; });
+  net->attach(2, MsgType::kJoinRequest, [&](const Message&) { ++join; });
+  net->detach(2, MsgType::kHeartbeat);
+  net->attach(2, MsgType::kJoinRequest, [&](const Message&) { ++join2; });  // replaces
+  net->attach(2, MsgType::kAppData, [&](const Message&) { ++app; });
+  net->detach(2, MsgType::kStreamPush);  // never attached: no effect
+  for (MsgType t : {MsgType::kHeartbeat, MsgType::kJoinRequest, MsgType::kAppData,
+                    MsgType::kJoinReply}) {
+    net->send(Message{1, 2, t, {}});
+  }
+  sim.run();
+  EXPECT_EQ(heartbeat, 0);
+  EXPECT_EQ(join, 0);
+  EXPECT_EQ(join2, 1);
+  EXPECT_EQ(app, 1);
+  EXPECT_EQ(fallback, 2);  // the detached kHeartbeat and the never-typed kJoinReply
+  EXPECT_TRUE(net->attached(2));
+}
+
+TEST_F(NetFixture, DetachingLastHandlerUnattachesNode) {
+  auto net = make(cfg);
+  int got = 0;
+  net->attach(2, MsgType::kHeartbeat, [&](const Message&) { ++got; });
+  net->attach(2, MsgType::kAppData, [&](const Message&) { ++got; });
+  net->detach(2, MsgType::kHeartbeat);
+  EXPECT_TRUE(net->attached(2));
+  // No fallback: an untyped message to an attached node is blocked on
+  // delivery.
+  net->send(Message{1, 2, MsgType::kHeartbeat, {}});
+  sim.run();
+  EXPECT_EQ(net->stats().messages_blocked, 1u);
+  net->detach(2, MsgType::kAppData);
+  EXPECT_FALSE(net->attached(2));
+  net->send(Message{1, 2, MsgType::kAppData, {}});
+  sim.run();
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(net->stats().messages_blocked, 2u);
+
+  net->attach(3, [&](const Message&) { ++got; });
+  net->detach(3);
+  EXPECT_FALSE(net->attached(3));
+}
+
+TEST(MsgTypeSlot, EveryEnumeratorMapsToADistinctSlot) {
+  const std::vector<MsgType> all = {
+      MsgType::kDsBroadcast,     MsgType::kPbftRequest,      MsgType::kPbftPrePrepare,
+      MsgType::kPbftPrepare,     MsgType::kPbftCommit,       MsgType::kPbftViewChange,
+      MsgType::kPbftNewView,     MsgType::kPbftCheckpoint,   MsgType::kPbftStateFetch,
+      MsgType::kPbftStateReply,  MsgType::kSmrRemovalNotice, MsgType::kGroupMsgFull,
+      MsgType::kGroupMsgDigest,  MsgType::kGroupMsgEnvelope, MsgType::kHeartbeat,
+      MsgType::kJoinRequest,     MsgType::kJoinReply,        MsgType::kAppData,
+      MsgType::kChunkRequest,    MsgType::kChunkReply,       MsgType::kStreamPush,
+      MsgType::kStreamPull,      MsgType::kStreamChunk,
+  };
+  ASSERT_EQ(all.size(), kMsgTypeSlots);
+  std::vector<bool> used(kMsgTypeSlots, false);
+  for (MsgType t : all) {
+    const std::size_t slot = msg_type_slot(t);
+    ASSERT_LT(slot, kMsgTypeSlots) << static_cast<int>(t);
+    EXPECT_FALSE(used[slot]) << "slot " << slot << " shared";
+    used[slot] = true;
+  }
+  static_assert(msg_type_slot(MsgType::kStreamChunk) < kMsgTypeSlots);
+  EXPECT_EQ(msg_type_slot(static_cast<MsgType>(0xffff)), kMsgTypeSlots);
+}
+
 TEST_F(NetFixture, WanLatencyFollowsRegionMatrix) {
   auto wan_cfg = NetworkConfig::wide_area();
   wan_cfg.jitter_mean = 0;

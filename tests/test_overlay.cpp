@@ -3,6 +3,7 @@
 // certificate chains, uniformity), and gossip policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -212,6 +213,112 @@ TEST_F(GmFixture, PostTtlDuplicateIsNotRedelivered) {
   send_from_all(Bytes{0xD7}, group_a);
   sim.run();
   EXPECT_EQ(delivered.size(), 2u) << "post-TTL duplicate was re-delivered";
+}
+
+// The dedup window is two rotation generations (one rotation every 8 TTLs,
+// taken lazily on arrival). An id delivered just before a rotation is still
+// dropped after it, and is fresh again only once the second rotation has
+// erased its generation.
+TEST_F(GmFixture, DeliveredIdSurvivesOneRotationAndExpiresAtTheSecond) {
+  make_receiver();
+  rx->set_tombstone_ttl(seconds(1));
+  auto send_id = [this](std::uint64_t seq, const Bytes& payload) {
+    for (NodeId s : group_a) {
+      net::Transport t(net, s);
+      send_group_message(t, group_a, GroupMessageId{50, seq}, {receiver}, payload, rng);
+    }
+    sim.run();
+  };
+  send_id(1, Bytes{0x01});  // first arrival arms the first rotation ~8 s out
+  ASSERT_EQ(delivered.size(), 1u);
+
+  sim.run_until(seconds(7.9));
+  send_id(2, Bytes{0x02});  // delivered just before the first rotation
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(rx->delivered_dedup_count(), 2u);
+
+  sim.run_until(seconds(8.5));
+  send_id(2, Bytes{0x02});  // this arrival rotates; id 2 is one generation old
+  EXPECT_EQ(delivered.size(), 2u) << "dropped from the window after one rotation";
+  EXPECT_EQ(rx->delivered_dedup_count(), 2u);
+
+  sim.run_until(seconds(16.0));
+  send_id(2, Bytes{0x02});  // the second rotation is not due until ~16.5 s
+  EXPECT_EQ(delivered.size(), 2u);
+
+  sim.run_until(seconds(17.0));
+  send_id(2, Bytes{0x02});  // second rotation: both old deliveries age out
+  ASSERT_EQ(delivered.size(), 3u) << "id stayed deduped past the second rotation";
+  EXPECT_EQ(delivered.back().first.seq, 2u);
+  EXPECT_EQ(rx->delivered_dedup_count(), 1u);  // only the re-delivery
+}
+
+// Buffered ids of an unknown sender group deliver in GroupMessageId order
+// once its size is learned, whatever order they arrived in.
+TEST_F(GmFixture, ReevaluateDeliversBufferedIdsInIdOrder) {
+  make_receiver();
+  bool known = false;
+  rx->set_group_size_fn([&known](GroupId) -> std::optional<std::size_t> {
+    if (!known) return std::nullopt;
+    return 5;
+  });
+  std::vector<GroupMessageId> sent;
+  Rng order(5);
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    GroupId g = (i % 3 == 0) ? 60 : 50;
+    sent.push_back(GroupMessageId{g, order.next_u64()});
+  }
+  for (const GroupMessageId& id : sent) {
+    for (NodeId s : group_a) {
+      net::Transport t(net, s);
+      send_group_message(t, group_a, id, {receiver}, Bytes{0x5A}, rng);
+    }
+  }
+  sim.run();
+  ASSERT_TRUE(delivered.empty());
+  EXPECT_EQ(rx->pending_count(), sent.size());
+
+  known = true;
+  rx->reevaluate();
+  std::sort(sent.begin(), sent.end());
+  ASSERT_EQ(delivered.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(delivered[i].first, sent[i]) << "delivery " << i;
+  }
+}
+
+// A sender group that equivocates (node 3 vouches for two contents, each
+// backed by a majority of 5) delivers exactly one of them: the lower
+// digest, regardless of which content arrived first.
+TEST_F(GmFixture, EquivocationDeliversTheLowerDigest) {
+  make_receiver();
+  bool known = false;
+  rx->set_group_size_fn([&known](GroupId) -> std::optional<std::size_t> {
+    if (!known) return std::nullopt;
+    return 5;
+  });
+  const Bytes a{0xA1}, b{0xB2};
+  const Bytes& lower = crypto::sha256(a) < crypto::sha256(b) ? a : b;
+  auto send = [this](std::uint64_t seq, const Bytes& payload, std::vector<NodeId> senders) {
+    for (NodeId s : senders) {
+      net::Transport t(net, s);
+      send_group_message(t, group_a, GroupMessageId{50, seq}, {receiver}, payload, rng);
+    }
+    sim.run();
+  };
+  send(1, a, {1, 2, 3});
+  send(1, b, {3, 4, 5});
+  send(2, b, {1, 2, 3});
+  send(2, a, {3, 4, 5});
+  ASSERT_TRUE(delivered.empty());
+
+  known = true;
+  rx->reevaluate();
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(delivered[0].first.seq, 1u);
+  EXPECT_EQ(delivered[0].second, lower);
+  EXPECT_EQ(delivered[1].first.seq, 2u);
+  EXPECT_EQ(delivered[1].second, lower);
 }
 
 TEST_F(GmFixture, DigestOptimizationOnlyMajoritySendsFull) {

@@ -20,6 +20,7 @@
 #include "crypto/keys.h"
 #include "crypto/sha256.h"
 #include "net/network.h"
+#include "obs/registry.h"
 #include "sim/simulator.h"
 #include "smr/pbft.h"
 #include "smr/reconfig.h"
@@ -79,6 +80,49 @@ TEST(PbftCheckpoint, ExecutedHistoryStaysBoundedByWindow) {
     EXPECT_GT(g.at(n).history_base(), 150u)
         << "replica " << n << " never truncated (seed behavior)";
     EXPECT_GE(g.at(n).stable_seq(), 180u) << "replica " << n;
+  }
+}
+
+// smr.checkpoints_stable counts every advance of the stable checkpoint,
+// whichever path completes the quorum: a peer vote arriving after our own
+// execution (handle_checkpoint) or our execution completing a quorum whose
+// votes arrived first (maybe_stabilize). Counting only the second path read
+// 0 here while stable_seq() reached 400. An advance may skip boundaries, so
+// the count is at most one per interval.
+TEST(PbftCheckpoint, StableCheckpointCounterCountsEveryAdvance) {
+  constexpr std::size_t kReplicas = 4;
+  PbftOptions opt;
+  opt.checkpoint_interval = 4;
+  opt.watermark_window = 16;
+  opt.batch_max_ops = 1;
+  sim::Simulator sim;
+  net::SimNetwork net{sim, net::NetworkConfig::datacenter(), 77};
+  crypto::KeyStore keys{29};
+  GroupConfig cfg;
+  for (NodeId n = 0; n < kReplicas; ++n) cfg.members.push_back(n);
+  std::vector<std::unique_ptr<obs::Registry>> metrics;
+  std::vector<std::unique_ptr<PbftSmr>> replicas;
+  for (NodeId n = 0; n < kReplicas; ++n) {
+    metrics.push_back(std::make_unique<obs::Registry>());
+    PbftOptions own = opt;
+    own.metrics = metrics.back().get();
+    replicas.push_back(std::make_unique<PbftSmr>(net::Transport(net, n), cfg, keys, own,
+                                                 PbftFaultMode::kCorrect));
+  }
+
+  for (int i = 0; i < 400; ++i) {
+    replicas[static_cast<std::size_t>(i) % kReplicas]->propose(
+        op_bytes("op" + std::to_string(i)));
+    if (i % 10 == 9) sim.run_until(sim.now() + millis(200));
+  }
+  sim.run_until(sim.now() + seconds(10));
+
+  for (std::size_t n = 0; n < kReplicas; ++n) {
+    const std::uint64_t stable = replicas[n]->stable_seq();
+    const std::uint64_t counted = metrics[n]->counter("smr.checkpoints_stable").value();
+    EXPECT_GE(stable, 396u) << "replica " << n;
+    EXPECT_GE(counted, 1u) << "replica " << n << ": advances went uncounted";
+    EXPECT_LE(counted, stable / opt.checkpoint_interval) << "replica " << n;
   }
 }
 
