@@ -7,8 +7,8 @@
 //          per-message CPU, header overhead, bandwidth serialization — is
 //          machine-independent, so the numbers are deterministic and
 //          byte-comparable across hosts; see tools/bench_trend.py).
-//   soak — the bench_soak_atum_10k profile (kAsync vgroups, H-graph,
-//          gossip), default 1500 nodes for CI (--soak-nodes 10000 for the
+//   soak — the `soak` scenario preset's parameters (kAsync vgroups,
+//          H-graph, gossip, 5 s heartbeats), default 1500 nodes for CI (--soak-nodes 10000 for the
 //          full-size run): a burst of broadcasts from scattered origins,
 //          measured as broadcast deliveries per simulated second, plus the
 //          fraction of group-message sends the coalescer saved.

@@ -616,6 +616,42 @@ std::vector<std::string> ScenarioDriver::check(const ScenarioSpec& spec,
       add(buf);
     }
   }
+
+  // Run invariants: they hold for every spec, so no expectation sets them.
+  // (a) No correct node is evicted before the first fault primitive.
+  std::set<std::string> before_fault;
+  for (const Phase& ph : spec.phases) {
+    if (ph.partition || ph.degrade || ph.byzantine || ph.kill_groups > 0) break;
+    before_fault.insert(ph.name);
+  }
+  for (const PhaseMetrics& p : report.phases) {
+    if (before_fault.contains(p.name) && p.correct_evicted_end > 0) {
+      std::snprintf(buf, sizeof buf,
+                    "phase '%s': %" PRIu64 " correct nodes evicted before any fault",
+                    p.name.c_str(), p.correct_evicted_end);
+      add(buf);
+    }
+  }
+  // (b) The event arena tracks peak concurrency, not history.
+  const std::uint64_t arena_bound = report.events_executed / 4 + 4096;
+  if (!report.phases.empty() && report.phases.back().slot_count_end > arena_bound) {
+    std::snprintf(buf, sizeof buf,
+                  "simulator arena %" PRIu64 " slots > events_executed/4 + 4096 (%" PRIu64 ")",
+                  report.phases.back().slot_count_end, arena_bound);
+    add(buf);
+  }
+  // (c) The per-frame digest cache is active: hashes track frames, not
+  // messages (without it every full-frame delivery hashes at the receiver).
+  // With signature verification on, HMACs (two digests each) swamp the
+  // count, so the ratio says nothing about the cache.
+  if (!spec.params.verify_signatures &&
+      report.total_sha256_digests * 2 > report.total_msgs_sent) {
+    std::snprintf(buf, sizeof buf,
+                  "%" PRIu64 " SHA-256 digests > half of %" PRIu64
+                  " messages (per-frame digest cache inactive)",
+                  report.total_sha256_digests, report.total_msgs_sent);
+    add(buf);
+  }
   return violations;
 }
 

@@ -55,8 +55,11 @@ class ScenarioDriver {
   // Runs all phases plus the drain; callable once.
   ScenarioReport run();
 
-  // Evaluates spec.expectations against a report. Returns one human-readable
-  // line per violated expectation; empty = all hold.
+  // Evaluates spec.expectations against a report, plus three run invariants
+  // every spec obeys: no correct node evicted before the first fault phase,
+  // final arena slots <= events_executed/4 + 4096, and (with signature
+  // verification off) SHA-256 digests <= half the messages sent. Returns one
+  // human-readable line per violation; empty = all hold.
   static std::vector<std::string> check(const ScenarioSpec& spec, const ScenarioReport& report);
 
   // The underlying system (benches poke at it between/after runs).

@@ -246,6 +246,34 @@ ScenarioSpec stream_under_churn(std::size_t nodes, std::uint64_t seed) {
   return s;
 }
 
+// The node-level soak: three heartbeat periods of silence, a handful of
+// broadcasts that must reach every node, then joins and leaves that must
+// all complete without the force-stop fallback. "Nobody is evicted before
+// the first fault", the arena bound and the digest-cache bound are run
+// invariants ScenarioDriver::check applies to every spec.
+ScenarioSpec soak(std::size_t nodes, std::uint64_t seed) {
+  ScenarioSpec s = base_spec("soak", nodes, seed);
+  s.params.heartbeat_period = seconds(5.0);
+  s.relay_cycles = {0};  // the deterministic ring: path coverage, not flood volume
+  Phase beat;
+  beat.name = "beat";
+  beat.duration = 3 * s.params.heartbeat_period;
+  Phase bcast;
+  bcast.name = "bcast";
+  bcast.duration = seconds(80.0);
+  bcast.broadcasts.per_second = 0.05;  // 3 broadcasts, each settles before churn starts
+  Phase churn;
+  churn.name = "churn";
+  churn.duration = seconds(480.0);
+  churn.churn.joins_per_minute = 2.0;
+  churn.churn.leaves_per_minute = 2.0;
+  s.phases = {beat, bcast, churn};
+  Expectation churn_exp = expect_joins("churn", 1.0);
+  churn_exp.max_forced_leaves = 0;
+  s.expectations = {expect_delivery("bcast", 1.0), churn_exp};
+  return s;
+}
+
 struct PresetEntry {
   PresetInfo info;
   ScenarioSpec (*make)(std::size_t nodes, std::uint64_t seed);
@@ -280,6 +308,10 @@ const std::vector<PresetEntry>& registry() {
         10'000},
        &long_haul_churn,
        0x10A617ULL},
+      {{"soak", "heartbeats, broadcasts delivered everywhere, then 2/min joins and leaves",
+        10'000},
+       &soak,
+       0xA70AULL},
   };
   return kPresets;
 }

@@ -2,9 +2,10 @@
 // but hand-coded benches cannot compose — flash crowds (Fig 6), diurnal
 // churn (Fig 7's rates modulated over a day), partitions + heals,
 // correlated whole-vgroup failures, Byzantine conversion storms (Figs
-// 10-11's adversary applied mid-run), and streaming under churn (Fig 12
-// meets Fig 7). Each preset carries its own expectations so
-// `atum_scenario <preset> --assert` doubles as an acceptance gate in CI.
+// 10-11's adversary applied mid-run), streaming under churn (Fig 12
+// meets Fig 7), and the heartbeat/broadcast/churn soak. Each preset
+// carries its own expectations so `atum_scenario <preset> --assert`
+// doubles as an acceptance gate in CI.
 #pragma once
 
 #include <cstdint>

@@ -166,6 +166,21 @@ TEST(ScenarioDriverTest, DifferentSeedsStillSatisfyInvariants) {
   }
 }
 
+TEST(ScenarioDriverTest, SoakPresetHoldsItsExpectations) {
+  ScenarioSpec s = make_preset("soak", 300);
+  ScenarioDriver driver(s);
+  ScenarioReport r = driver.run();
+  auto violations = ScenarioDriver::check(driver.spec(), r);
+  EXPECT_TRUE(violations.empty()) << violations[0];
+  const PhaseMetrics* bcast = r.phase("bcast");
+  const PhaseMetrics* churn = r.phase("churn");
+  ASSERT_NE(bcast, nullptr);
+  ASSERT_NE(churn, nullptr);
+  EXPECT_GE(bcast->broadcasts_sent, 3u);
+  EXPECT_GE(churn->joins_requested, 15u);
+  EXPECT_GE(churn->leaves_requested, 15u);
+}
+
 TEST(ScenarioDriverTest, FlashCrowdJoinsComplete) {
   ScenarioSpec s = small_spec(60, 11);
   Phase flash = bcast_phase("flash", 0.25, seconds(30.0));
@@ -337,4 +352,51 @@ TEST(ScenarioReportTest, CheckFlagsViolations) {
   missing.phase = "nope";
   s.expectations = {missing};
   EXPECT_EQ(ScenarioDriver::check(s, r).size(), 1u);
+
+  // The run invariants, on a clean two-phase run: calm, then a group kill.
+  s.expectations.clear();
+  s.phases = {bcast_phase("calm"), bcast_phase("failure")};
+  s.phases[1].kill_groups = 1;
+  s.params.verify_signatures = false;
+  ScenarioReport clean;
+  PhaseMetrics calm;
+  calm.name = "calm";
+  PhaseMetrics failure;
+  failure.name = "failure";
+  failure.slot_count_end = 10'000;
+  clean.phases = {calm, failure};
+  clean.events_executed = 40'000;
+  clean.total_msgs_sent = 1'000;
+  clean.total_sha256_digests = 500;
+  EXPECT_TRUE(ScenarioDriver::check(s, clean).empty());
+
+  auto only_violation = [&](const ScenarioReport& doctored, const char* needle) {
+    auto found = ScenarioDriver::check(s, doctored);
+    ASSERT_EQ(found.size(), 1u) << needle;
+    EXPECT_NE(found[0].find(needle), std::string::npos) << found[0];
+  };
+  // (a) An eviction before the first fault phase.
+  ScenarioReport evicted = clean;
+  evicted.phases[0].correct_evicted_end = 1;
+  only_violation(evicted, "evicted before any fault");
+  // Evictions after a kill_groups phase are the fault's doing, not a bug;
+  // report phases the spec does not name are not judged either.
+  ScenarioReport after_fault = clean;
+  after_fault.phases[1].correct_evicted_end = 3;
+  PhaseMetrics unnamed;
+  unnamed.name = "unnamed";
+  unnamed.correct_evicted_end = 2;
+  after_fault.phases.insert(after_fault.phases.begin(), unnamed);
+  EXPECT_TRUE(ScenarioDriver::check(s, after_fault).empty());
+  // (b) An arena that grew with history instead of concurrency.
+  ScenarioReport arena = clean;
+  arena.phases[1].slot_count_end = 40'000 / 4 + 4096 + 1;
+  only_violation(arena, "simulator arena");
+  // (c) Hashing per message instead of per frame.
+  ScenarioReport hashes = clean;
+  hashes.total_sha256_digests = 501;
+  only_violation(hashes, "digest cache inactive");
+  // HMAC signature checks hash too; with verification on the ratio is moot.
+  s.params.verify_signatures = true;
+  EXPECT_TRUE(ScenarioDriver::check(s, hashes).empty());
 }

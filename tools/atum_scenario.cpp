@@ -18,10 +18,14 @@
 // Perfetto / chrome://tracing); --trace-sample keeps one trace key in N and
 // --trace-ring bounds the per-node event ring. Telemetry is deterministic:
 // same preset + seed => byte-identical report AND trace. All flags accept
-// both `--flag value` and `--flag=value`.
+// both `--flag value` and `--flag=value`. Counts (--nodes, --seed,
+// --trace-sample, --trace-ring) must be whole decimal numbers; a malformed
+// flag or a spec that fails validation exits 2.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "obs/trace.h"
@@ -59,6 +63,17 @@ atum::DurationMicros parse_duration(const std::string& s, const char* flag) {
     std::exit(2);
   }
   return static_cast<atum::DurationMicros>(v * scale);
+}
+
+// A count flag: the whole token must be decimal digits. Exits on nonsense.
+std::uint64_t parse_count(const std::string& s, const char* flag) {
+  errno = 0;
+  unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos || errno == ERANGE) {
+    std::fprintf(stderr, "%s: bad count '%s' (want a non-negative integer)\n", flag, s.c_str());
+    std::exit(2);
+  }
+  return v;
 }
 
 bool write_file(const std::string& path, const std::string& data) {
@@ -115,9 +130,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--nodes") {
-      nodes = static_cast<std::size_t>(std::strtoull(value().c_str(), nullptr, 10));
+      nodes = parse_count(value(), "--nodes");
     } else if (flag == "--seed") {
-      seed = std::strtoull(value().c_str(), nullptr, 10);
+      seed = parse_count(value(), "--seed");
     } else if (flag == "--out") {
       out_path = value();
     } else if (flag == "--metrics-interval") {
@@ -125,9 +140,9 @@ int main(int argc, char** argv) {
     } else if (flag == "--trace-out") {
       trace_path = value();
     } else if (flag == "--trace-sample") {
-      trace_sample = std::strtoull(value().c_str(), nullptr, 10);
+      trace_sample = parse_count(value(), "--trace-sample");
     } else if (flag == "--trace-ring") {
-      trace_ring = static_cast<std::size_t>(std::strtoull(value().c_str(), nullptr, 10));
+      trace_ring = parse_count(value(), "--trace-ring");
     } else if (flag == "--assert" && !has_inline) {
       check = true;
     } else {
@@ -147,6 +162,12 @@ int main(int argc, char** argv) {
   spec.trace = !trace_path.empty();
   spec.trace_sample = trace_sample;
   spec.trace_ring = trace_ring;
+  try {
+    spec.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   std::fprintf(stderr, "scenario %s: %zu nodes, seed %llu, %zu phases\n", spec.name.c_str(),
                spec.nodes, static_cast<unsigned long long>(spec.seed), spec.phases.size());
