@@ -99,7 +99,7 @@ bool PbftSmr::faulty_now() const {
     case PbftFaultMode::kCorrect: return false;
     case PbftFaultMode::kSilent: return true;
     case PbftFaultMode::kSilentPrimary: return is_primary();
-    case PbftFaultMode::kEquivocatePrimary: return false;  // handled in primary_assign
+    case PbftFaultMode::kEquivocatePrimary: return false;  // handled in flush_batch
   }
   return false;
 }
@@ -460,7 +460,7 @@ void PbftSmr::try_execute() {
     LogEntry& entry = it->second;
     bool committed = entry.pre_prepared && entry.prepares.size() >= 2 * max_faults() &&
                      entry.commits.size() >= quorum();
-    if (!committed || entry.executed) break;
+    if (!committed) break;
     execute_entry(next_exec_ + 1, entry);
   }
   maybe_fetch_missing_head();
@@ -501,13 +501,7 @@ void PbftSmr::maybe_fetch_missing_head() {
   // makes every correct replier's bytes identical, so the f+1-matching
   // acceptance rule can fire. Up to f of those asked may be faulty or
   // equally behind; enough matching replies can still form.
-  // Freeze the request once: every recipient gets the same frame, so the
-  // 2f+1 fan-out shares one buffer instead of copying the bytes per peer.
-  ByteWriter w;
-  w.u64(instance_tag_);
-  w.u64(next_exec_);
-  w.u64(anchor);
-  const net::Payload frame(w.take());
+  const net::Payload frame = state_fetch_frame(anchor);
   std::size_t asked = 0;
   for (NodeId node : config_.members) {
     if (node == transport_.self()) continue;
@@ -516,49 +510,62 @@ void PbftSmr::maybe_fetch_missing_head() {
   }
 }
 
-void PbftSmr::execute_entry(std::uint64_t seq, LogEntry& entry) {
-  entry.executed = true;
-  next_exec_ = seq;
-  head_fetch_rounds_ = 0;  // progress: future gaps get fresh fetch rounds
+void PbftSmr::execute_entry(std::uint64_t seq, const LogEntry& entry) {
   // One exec record per seq, holding the whole batch in delivery order
-  // (empty for a null batch). An op that already executed under an earlier
-  // seq — an equivocating client re-submitting — is recorded as a null op
-  // so replayed histories skip it identically.
+  // (empty for a null batch). An op whose request already executed — under
+  // an earlier seq or earlier in this batch, an equivocating client
+  // re-submitting — is recorded as a null op so replayed histories skip it
+  // identically.
   ExecRecord rec;
   rec.ops.reserve(entry.batch.size());
-  std::uint64_t fresh_ops = 0;
-  for (const Request& req : entry.batch) {
-    if (executed_requests_.insert(req.id.origin, req.id.seq)) {
-      rec.ops.push_back(ExecOp{req.id.origin, req.id.seq, req.op});
-      ++fresh_ops;
-    } else {
-      rec.ops.push_back(ExecOp{kNullOrigin, req.id.seq, {}});
-    }
-    assigned_or_executed_.insert(req.id.origin, req.id.seq);
-    pending_.erase(req.id);
+  for (auto req = entry.batch.begin(); req != entry.batch.end(); ++req) {
+    const bool repeat =
+        executed_requests_.contains(req->id.origin, req->id.seq) ||
+        std::any_of(entry.batch.begin(), req, [&](const Request& r) { return r.id == req->id; });
+    rec.ops.push_back(repeat ? ExecOp{kNullOrigin, req->id.seq, {}}
+                             : ExecOp{req->id.origin, req->id.seq, req->op});
   }
+  apply_record(seq, rec);
+  maybe_stabilize();
+  // Progress was made: withdraw any view change this replica started out of
+  // lag, then restart (or, with nothing pending, disarm) the liveness timer.
+  abandon_view_change();
+  current_timeout_ = options_.view_change_timeout;
+  disarm_view_timer();
+  arm_view_timer();
+}
+
+void PbftSmr::apply_record(std::uint64_t seq, const ExecRecord& rec) {
   // Ordering matters: fold the record into the state digest, count its
   // fresh ops, and capture the checkpoint at a boundary BEFORE any decide
   // callback runs — a callback may propose and (with tiny quorums) execute
   // the next seq inline, and that nested execution's checkpoint must see
-  // this record fully accounted.
+  // this record fully accounted. A served record is folded VERBATIM: the
+  // state digest chain covers the null-op markers too, so re-nulling
+  // against local ledger state would fork the chain from the group's.
   fold_record(rec);
+  std::uint64_t fresh_ops = 0;
+  for (const ExecOp& op : rec.ops) {
+    if (op.origin == kNullOrigin) continue;
+    if (executed_requests_.insert(op.origin, op.origin_seq)) ++fresh_ops;
+    assigned_or_executed_.insert(op.origin, op.origin_seq);
+    pending_.erase(RequestId{op.origin, op.origin_seq});
+  }
   executed_ops_ += fresh_ops;
   if (ctr_batches_ != nullptr) ctr_batches_->inc();
   if (hist_batch_ops_ != nullptr) hist_batch_ops_->record(fresh_ops);
-  const ExecRecord fired = rec;  // local copy: nested execution below may
-                                 // push to / trim the deque under us
-  exec_history_.push_back(std::move(rec));
-  if (seq % options_.checkpoint_interval == 0) {
-    send_checkpoint(seq);
-  }
-  ++exec_depth_;
-  for (const ExecOp& op : fired.ops) {
+  next_exec_ = seq;
+  head_fetch_rounds_ = 0;  // progress: future gaps get fresh fetch rounds
+  log_[seq].record = rec;
+  if (seq % options_.checkpoint_interval == 0) send_checkpoint(seq);
+  // The decides read `rec`, which the caller owns: a nested execution may
+  // collect this slot under us.
+  for (const ExecOp& op : rec.ops) {
     if (op.origin == kNullOrigin) continue;
-    // Zero-copy async decide: the op is already a refcounted slice of the
-    // pre-prepare frame, shared by the log, exec_history_ and its
-    // batch-mates. The callback (and everything above it) works on the
-    // same buffer; the seq argument is the per-op delivery ordinal.
+    // Zero-copy async decide: the op is a refcounted slice of the frame it
+    // was decided or served in, shared by the log and its batch-mates. The
+    // callback (and everything above it) works on the same buffer; the seq
+    // argument is the per-op delivery ordinal.
     ++decided_ops_;
     if (ctr_ops_ != nullptr) ctr_ops_->inc();
     if (options_.tracer != nullptr && options_.tracer->enabled()) {
@@ -566,19 +573,11 @@ void PbftSmr::execute_entry(std::uint64_t seq, LogEntry& entry) {
     }
     if (decide_) decide_(decided_ops_ - 1, op.origin, op.op);
   }
-  --exec_depth_;
-  trim_history();
-  maybe_stabilize();
-  // Progress was made: withdraw any view change this replica started out of
-  // lag, then restart (or disarm) the liveness timer.
-  abandon_view_change();
-  current_timeout_ = options_.view_change_timeout;
-  if (pending_.empty()) {
-    disarm_view_timer();
-  } else {
-    disarm_view_timer();
-    arm_view_timer();
-  }
+}
+
+std::size_t PbftSmr::history_size() const {
+  return static_cast<std::size_t>(std::count_if(
+      log_.begin(), log_.end(), [](const auto& slot) { return slot.second.record.has_value(); }));
 }
 
 // ---------------------------------------------------------------------------
@@ -605,12 +604,8 @@ void PbftSmr::fold_record(const ExecRecord& rec) {
 }
 
 // Checkpoint body CB(seq) — the full wire message AND the thing voted on
-// (votes store the SHA-256 of these bytes): the incremental state digest
-// pins the executed prefix, the op count pins the decide ordinal space, and
-// the request-ledger encoding lets an installing replica restore its dedup
-// state without replaying the truncated prefix.
-Bytes PbftSmr::checkpoint_body(std::uint64_t seq, const crypto::Digest& state_digest,
-                               std::uint64_t ops, const Bytes& ledger_wire) {
+// (votes store the SHA-256 of these bytes).
+Bytes PbftSmr::Checkpoint::body() const {
   ByteWriter w;
   w.u64(seq);
   write_digest(w, state_digest);
@@ -619,19 +614,25 @@ Bytes PbftSmr::checkpoint_body(std::uint64_t seq, const crypto::Digest& state_di
   return w.take();
 }
 
+std::size_t PbftSmr::votes_for(std::uint64_t seq, const crypto::Digest& d) const {
+  auto it = checkpoints_.find(seq);
+  if (it == checkpoints_.end()) return 0;
+  return static_cast<std::size_t>(std::count_if(
+      it->second.begin(), it->second.end(), [&](const auto& vote) { return vote.second == d; }));
+}
+
 void PbftSmr::send_checkpoint(std::uint64_t seq) {
   ByteWriter lw;
   executed_requests_.encode(lw);
-  Bytes ledger_wire = lw.take();
-  Bytes body = checkpoint_body(seq, state_digest_, executed_ops_, ledger_wire);
+  Checkpoint ckpt{seq, state_digest_, executed_ops_, lw.take()};
+  Bytes body = ckpt.body();
   crypto::Digest d = crypto::sha256(body);
-  own_ckpt_[seq] = CheckpointData{state_digest_, executed_ops_, std::move(ledger_wire)};
+  log_[seq].own_ckpt = std::move(ckpt);
   broadcast(net::MsgType::kPbftCheckpoint, body);
   checkpoints_[seq][transport_.self()] = d;
   // Stabilization (our vote may complete a quorum) is NOT checked here:
   // send_checkpoint runs before the boundary record's decides fire, and
-  // truncating the history mid-delivery would pop the record under them.
-  // execute_entry/adopt_entries call maybe_stabilize() after unwinding.
+  // execute_entry/adopt_entries call maybe_stabilize() once they unwind.
 }
 
 void PbftSmr::handle_checkpoint(const net::Message& msg) {
@@ -653,13 +654,8 @@ void PbftSmr::handle_checkpoint(const net::Message& msg) {
 
   // The vote is the digest of the whole body (memoized on the frame).
   crypto::Digest d = msg.payload.digest();
-  auto& votes = checkpoints_[seq];
-  votes[msg.from] = d;
-
-  std::size_t matching = 0;
-  for (const auto& [node, digest] : votes) {
-    if (digest == d) ++matching;
-  }
+  checkpoints_[seq][msg.from] = d;
+  std::size_t matching = votes_for(seq, d);
   if (matching >= quorum() && seq <= next_exec_) {
     collect_garbage(seq);
   } else if (matching >= max_faults() + 1 && seq > next_exec_ + options_.watermark_window / 2) {
@@ -677,22 +673,10 @@ void PbftSmr::maybe_stabilize() {
     if (it->first > next_exec_ || it->first <= stable_seq_) continue;
     auto self_it = it->second.find(transport_.self());
     if (self_it == it->second.end()) continue;
-    std::size_t matching = 0;
-    for (const auto& [node, digest] : it->second) {
-      if (digest == self_it->second) ++matching;
-    }
-    if (matching >= quorum()) {
+    if (votes_for(it->first, self_it->second) >= quorum()) {
       collect_garbage(it->first);
       return;
     }
-  }
-}
-
-void PbftSmr::trim_history() {
-  if (exec_depth_ > 0) return;  // mid-delivery: deferred to the unwind
-  while (exec_base_ < stable_seq_ && !exec_history_.empty()) {
-    exec_history_.pop_front();
-    ++exec_base_;
   }
 }
 
@@ -700,29 +684,36 @@ void PbftSmr::collect_garbage(std::uint64_t stable_seq) {
   if (stable_seq <= stable_seq_) return;
   stable_seq_ = stable_seq;
   if (ctr_checkpoints_ != nullptr) ctr_checkpoints_->inc();
+  // Promote our capture of this boundary to the served stable checkpoint
+  // (install_checkpoint sets stable_ckpt_ itself; it holds no such slot).
+  if (auto it = log_.find(stable_seq); it != log_.end() && it->second.own_ckpt) {
+    stable_ckpt_ = std::move(it->second.own_ckpt);
+  }
+  // The memory bound: every slot at or below the stable checkpoint leaves
+  // the log, executed record and all (unpinning its batch frames).
+  // in_window caps next_exec_ at stable_seq_ + watermark_window, so the log
+  // never holds more than watermark_window records.
   log_.erase(log_.begin(), log_.lower_bound(stable_seq + 1));
   checkpoints_.erase(checkpoints_.begin(), checkpoints_.upper_bound(stable_seq));
-  // Promote our capture of this boundary to the served stable checkpoint
-  // (install_checkpoint sets stable_ckpt_ directly and clears own_ckpt_).
-  if (auto it = own_ckpt_.find(stable_seq); it != own_ckpt_.end()) {
-    stable_ckpt_ = StableCheckpoint{stable_seq, it->second.state_digest, it->second.ops,
-                                    it->second.ledger_wire};
-  }
-  own_ckpt_.erase(own_ckpt_.begin(), own_ckpt_.upper_bound(stable_seq));
-  // The memory bound: everything at or below the stable checkpoint leaves
-  // the executed history (and unpins its batch frames). in_window caps
-  // next_exec_ at stable_seq_ + watermark_window, so after the trim the
-  // history never holds more than watermark_window records.
-  trim_history();
   // Requests stuck behind the window may now be assignable (and a batch
   // flush that stalled against the window can retry).
-  if (is_primary() && !view_changing_) {
-    auto pending_copy = pending_;
-    for (const auto& [id, op] : pending_copy) {
-      enqueue_op(Request{id, op});
-    }
-    flush_batch();
+  if (is_primary() && !view_changing_) reenqueue_pending();
+}
+
+void PbftSmr::reenqueue_pending() {
+  auto pending_copy = pending_;
+  for (const auto& [id, op] : pending_copy) {
+    enqueue_op(Request{id, op});
   }
+  flush_batch();
+}
+
+net::Payload PbftSmr::state_fetch_frame(std::uint64_t upto) const {
+  ByteWriter w;
+  w.u64(instance_tag_);
+  w.u64(next_exec_);
+  w.u64(upto);
+  return net::Payload(w.take());
 }
 
 void PbftSmr::request_state_transfer() {
@@ -731,13 +722,18 @@ void PbftSmr::request_state_transfer() {
     if (it->second.size() < max_faults() + 1) continue;
     for (const auto& [node, digest] : it->second) {
       if (node == transport_.self()) continue;
-      ByteWriter w;
-      w.u64(instance_tag_);
-      w.u64(next_exec_);
-      w.u64(0);  // no range cap: validated against the vouched checkpoint
-      transport_.send(node, net::MsgType::kPbftStateFetch, w.take());
+      // No range cap: validated against the vouched checkpoint.
+      transport_.send(node, net::MsgType::kPbftStateFetch, state_fetch_frame(0));
       return;  // one fetch at a time; retried on the next checkpoint signal
     }
+  }
+}
+
+void PbftSmr::encode_records(ByteWriter& w, std::uint64_t after, std::uint64_t upto) const {
+  w.varint(upto - after);
+  for (auto it = log_.upper_bound(after); it != log_.end() && it->first <= upto; ++it) {
+    assert(it->second.record);
+    encode_exec_record(w, *it->second.record);
   }
 }
 
@@ -748,39 +744,31 @@ void PbftSmr::handle_state_fetch(const net::Message& msg) {
   std::uint64_t upto = r.u64();  // exclusive end of the decided prefix; 0 = all
   r.expect_done();
 
-  if (from_seq >= exec_base_) {
-    // The fetcher's head starts inside our retained history: serve the
-    // pinned range — records for seqs (from_seq, min(next_exec_, upto)],
-    // exactly the gap it asked for.
-    std::uint64_t end = exec_base_ + exec_history_.size();  // == next_exec_
-    if (upto != 0) end = std::min(end, upto);
-    if (from_seq >= end) return;  // have not executed the requested range yet
-    ByteWriter w;
-    w.u64(instance_tag_);
-    w.u8(kStateReplyRange);
-    w.u64(from_seq);
-    w.varint(end - from_seq);
-    for (std::uint64_t s = from_seq + 1; s <= end; ++s) {
-      encode_exec_record(w, exec_history_[static_cast<std::size_t>(s - exec_base_ - 1)]);
-    }
-    transport_.send(msg.from, net::MsgType::kPbftStateReply, w.take());
-    return;
-  }
-  // The requested range predates our truncation point — those records are
-  // gone. Serve the latest stable checkpoint plus every retained record
-  // above it; the fetcher installs the checkpoint (skipping the truncated
-  // prefix) and replays the head.
-  if (!stable_ckpt_) return;
+  // The log holds a record for every seq in (base, next_exec_].
+  const std::uint64_t base = history_base();
   ByteWriter w;
   w.u64(instance_tag_);
-  w.u8(kStateReplyInstall);
-  w.u64(from_seq);  // echoed so the fetcher can match reply to request
-  w.u64(stable_ckpt_->seq);
-  w.raw(stable_ckpt_->state_digest.data(), stable_ckpt_->state_digest.size());
-  w.u64(stable_ckpt_->ops);
-  w.bytes(stable_ckpt_->ledger_wire.data(), stable_ckpt_->ledger_wire.size());
-  w.varint(exec_history_.size());  // head records: (stable, next_exec_]
-  for (const ExecRecord& rec : exec_history_) encode_exec_record(w, rec);
+  if (from_seq >= base) {
+    // The fetcher's head starts inside our retained records: serve the
+    // pinned range — records for seqs (from_seq, min(next_exec_, upto)],
+    // exactly the gap it asked for.
+    const std::uint64_t end = upto != 0 ? std::min(next_exec_, upto) : next_exec_;
+    if (from_seq >= end) return;  // have not executed the requested range yet
+    w.u8(kStateReplyRange);
+    w.u64(from_seq);
+    encode_records(w, from_seq, end);
+  } else {
+    // The requested range predates our truncation point — those records
+    // are gone. Serve the latest stable checkpoint plus every retained
+    // record above it; the fetcher installs the checkpoint (skipping the
+    // truncated prefix) and replays the head.
+    if (!stable_ckpt_) return;
+    w.u8(kStateReplyInstall);
+    w.u64(from_seq);  // echoed so the fetcher can match reply to request
+    const Bytes body = stable_ckpt_->body();
+    w.raw(body.data(), body.size());
+    encode_records(w, base, next_exec_);
+  }
   transport_.send(msg.from, net::MsgType::kPbftStateReply, w.take());
 }
 
@@ -836,18 +824,21 @@ std::uint64_t PbftSmr::validate_chain(const std::vector<ExecRecord>& entries) co
       if (ledger.insert(op.origin, op.origin_seq)) ++ops;
     }
     if (seq % options_.checkpoint_interval != 0) continue;
-    auto vit = checkpoints_.find(seq);
-    if (vit == checkpoints_.end()) continue;
+    if (!checkpoints_.contains(seq)) continue;
     ByteWriter lw;
     ledger.encode(lw);
-    crypto::Digest body_digest = crypto::sha256(checkpoint_body(seq, digest, ops, lw.take()));
-    std::size_t matching = 0;
-    for (const auto& [node, vote] : vit->second) {
-      if (vote == body_digest) ++matching;
-    }
-    if (matching >= max_faults() + 1) best = seq;
+    const Checkpoint implied{seq, digest, ops, lw.take()};
+    if (votes_for(seq, crypto::sha256(implied.body())) >= max_faults() + 1) best = seq;
   }
   return best;
+}
+
+bool PbftSmr::reply_vouched(const net::Message& msg) {
+  std::set<NodeId>& voters = state_reply_votes_[msg.payload.digest()];
+  voters.insert(msg.from);
+  if (voters.size() < max_faults() + 1) return false;
+  state_reply_votes_.clear();
+  return true;
 }
 
 void PbftSmr::handle_state_reply(const net::Message& msg) {
@@ -871,52 +862,33 @@ void PbftSmr::handle_state_reply(const net::Message& msg) {
     // records once f+1 distinct replicas sent byte-identical replies: at
     // least one of them is correct, and correct replicas only serve history
     // they executed.
-    std::set<NodeId>& voters = state_reply_votes_[msg.payload.digest()];
-    voters.insert(msg.from);
-    if (voters.size() < max_faults() + 1) return;
-    state_reply_votes_.clear();
-    adopt_entries(entries, entries.size());
+    if (reply_vouched(msg)) adopt_entries(entries, entries.size());
     return;
   }
   if (kind != kStateReplyInstall) return;
 
-  std::uint64_t cseq = r.u64();
-  crypto::Digest state_digest{};
-  r.raw(state_digest.data(), state_digest.size());
-  std::uint64_t ops = r.u64();
+  Checkpoint ckpt;
+  ckpt.seq = r.u64();
+  ckpt.state_digest = read_digest(r);
+  ckpt.ops = r.u64();
   std::span<const std::uint8_t> ledger_region = r.bytes_view();
   std::vector<ExecRecord> head = parse_exec_records(msg, r);
   r.expect_done();
+  const std::uint64_t cseq = ckpt.seq;
   if (cseq <= next_exec_) return;  // already past the offered boundary
   if (cseq % options_.checkpoint_interval != 0) return;
-  Bytes ledger_wire(ledger_region.begin(), ledger_region.end());
-  ByteReader lr(ledger_wire);
+  ckpt.ledger_wire.assign(ledger_region.begin(), ledger_region.end());
+  ByteReader lr(ckpt.ledger_wire);
   RequestLedger ledger = RequestLedger::decode(lr);
   lr.expect_done();
 
   // The checkpoint is trusted only against evidence: either f+1 votes on
   // exactly this body (the normal request_state_transfer path — the votes
   // are what triggered the fetch), or f+1 byte-identical whole replies.
-  crypto::Digest body_digest =
-      crypto::sha256(checkpoint_body(cseq, state_digest, ops, ledger_wire));
-  bool ckpt_vouched = false;
-  if (auto vit = checkpoints_.find(cseq); vit != checkpoints_.end()) {
-    std::size_t matching = 0;
-    for (const auto& [node, vote] : vit->second) {
-      if (vote == body_digest) ++matching;
-    }
-    ckpt_vouched = matching >= max_faults() + 1;
-  }
-  bool whole_reply_vouched = false;
-  if (!ckpt_vouched) {
-    std::set<NodeId>& voters = state_reply_votes_[msg.payload.digest()];
-    voters.insert(msg.from);
-    if (voters.size() < max_faults() + 1) return;
-    state_reply_votes_.clear();
-    whole_reply_vouched = true;
-  }
+  const bool ckpt_vouched = votes_for(cseq, crypto::sha256(ckpt.body())) >= max_faults() + 1;
+  if (!ckpt_vouched && !reply_vouched(msg)) return;
 
-  install_checkpoint(cseq, state_digest, ops, std::move(ledger), std::move(ledger_wire));
+  install_checkpoint(std::move(ckpt), std::move(ledger));
   // The head records claim seqs (cseq, server_next]. install_checkpoint ends
   // in try_execute, which may run committed entries from the LOCAL log past
   // the boundary — the same records, by agreement. adopt_entries stamps
@@ -930,7 +902,7 @@ void PbftSmr::handle_state_reply(const net::Message& msg) {
     head.erase(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(covered));
   }
   if (!head.empty()) {
-    if (whole_reply_vouched) {
+    if (!ckpt_vouched) {
       // f+1 identical replies vouch for the head records too.
       adopt_entries(head, head.size());
     } else {
@@ -944,15 +916,14 @@ void PbftSmr::handle_state_reply(const net::Message& msg) {
   maybe_stabilize();
 }
 
-void PbftSmr::install_checkpoint(std::uint64_t cseq, const crypto::Digest& state_digest,
-                                 std::uint64_t ops, RequestLedger ledger, Bytes ledger_wire) {
+void PbftSmr::install_checkpoint(Checkpoint ckpt, RequestLedger ledger) {
   const std::uint64_t from_seq = next_exec_;
   const std::uint64_t from_ops = executed_ops_;
+  const std::uint64_t cseq = ckpt.seq;
+  const std::uint64_t ops = ckpt.ops;
   if (ctr_installs_ != nullptr) ctr_installs_->inc();
   next_exec_ = cseq;
-  exec_base_ = cseq;
-  exec_history_.clear();
-  state_digest_ = state_digest;
+  state_digest_ = ckpt.state_digest;
   executed_ops_ = ops;
   decided_ops_ = ops;  // skipped ops never fire locally; ordinals resume past them
   executed_requests_ = ledger;
@@ -967,12 +938,11 @@ void PbftSmr::install_checkpoint(std::uint64_t cseq, const crypto::Digest& state
       ++it;
     }
   }
-  stable_ckpt_ = StableCheckpoint{cseq, state_digest_, ops, std::move(ledger_wire)};
-  own_ckpt_.clear();
+  stable_ckpt_ = std::move(ckpt);
   next_seq_ = std::max(next_seq_, cseq + 1);
   head_fetch_rounds_ = 0;
-  // Truncates log_/checkpoints_ behind the boundary and re-arms the primary
-  // (own_ckpt_ is empty, so the stable_ckpt_ set above is kept as-is).
+  // Truncates log_ (every record below the boundary with it) and
+  // checkpoints_ behind the boundary, and re-arms the primary.
   collect_garbage(cseq);
   if (install_) install_(from_seq, cseq, from_ops, ops);
   // Entries logged beyond the installed boundary may be executable now.
@@ -984,7 +954,6 @@ void PbftSmr::install_checkpoint(std::uint64_t cseq, const crypto::Digest& state
 
 void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_t count) {
   const std::uint64_t start = next_exec_;
-  ++exec_depth_;
   for (std::uint64_t i = 0; i < count && i < entries.size(); ++i) {
     const std::uint64_t seq = start + i + 1;
     // A decide callback below may propose and execute ahead of us (tiny
@@ -992,33 +961,10 @@ void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_
     // about to adopt, the rest of the reply is stale — bail out rather
     // than fold records out of order.
     if (seq != next_exec_ + 1) break;
-    const ExecRecord& rec = entries[static_cast<std::size_t>(i)];
-    // Fold the record VERBATIM as served: the state digest chain covers the
-    // null-op markers too, so re-nulling against local ledger state would
-    // fork the chain from the group's.
-    fold_record(rec);
-    std::uint64_t fresh_ops = 0;
-    for (const ExecOp& op : rec.ops) {
-      if (op.origin == kNullOrigin) continue;
-      if (executed_requests_.insert(op.origin, op.origin_seq)) ++fresh_ops;
-      assigned_or_executed_.insert(op.origin, op.origin_seq);
-      pending_.erase(RequestId{op.origin, op.origin_seq});
-    }
-    executed_ops_ += fresh_ops;
-    exec_history_.push_back(rec);
-    next_exec_ = seq;
     log_.erase(seq);  // an unexecutable duplicate must not shadow the record
-    if (seq % options_.checkpoint_interval == 0) send_checkpoint(seq);
-    for (const ExecOp& op : rec.ops) {
-      if (op.origin == kNullOrigin) continue;
-      ++decided_ops_;
-      if (decide_) decide_(decided_ops_ - 1, op.origin, op.op);  // shares the reply frame
-    }
+    apply_record(seq, entries[static_cast<std::size_t>(i)]);
   }
-  --exec_depth_;
-  trim_history();
   maybe_stabilize();
-  head_fetch_rounds_ = 0;  // progress: future gaps get fresh fetch rounds
   next_seq_ = std::max(next_seq_, next_exec_ + 1);
   // Entries logged beyond the adopted gap may be executable now.
   try_execute();
@@ -1316,7 +1262,6 @@ void PbftSmr::enter_view(std::uint64_t v, const std::vector<PreparedProof>& carr
   for (const auto& p : carried) {
     if (p.seq <= next_exec_) continue;  // already executed here
     LogEntry& entry = log_[p.seq];
-    if (entry.executed) continue;
     entry.view = v;
     entry.digest = p.digest;
     entry.batch = p.batch;
@@ -1349,11 +1294,7 @@ void PbftSmr::enter_view(std::uint64_t v, const std::vector<PreparedProof>& carr
   // goes; the final flush sends the remainder immediately — a new view
   // must not sit on re-proposals for a deadline tick).
   if (is_primary()) {
-    auto pending_copy = pending_;
-    for (const auto& [id, op] : pending_copy) {
-      enqueue_op(Request{id, op});
-    }
-    flush_batch();
+    reenqueue_pending();
   } else if (!faulty_now()) {
     // Retransmit our own unordered requests: the new primary may never
     // have received them (e.g. it was partitioned when they were issued).

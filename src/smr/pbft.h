@@ -22,8 +22,8 @@
 //   CHECKPOINT   every K executions; carries the incremental state digest,
 //                the executed-op count and the request ledger at the
 //                boundary; stable after 2f+1 matching body digests, which
-//                advances the low watermark, truncates the log AND the
-//                executed history behind the boundary (memory stops
+//                advances the low watermark, truncates the log (executed
+//                records included) behind the boundary (memory stops
 //                growing), and records the stable checkpoint for serving
 //   VIEW-CHANGE / NEW-VIEW
 //                timer-driven primary replacement carrying prepared BATCH
@@ -49,15 +49,17 @@
 //
 // Zero-copy op path: Request::op is a net::Payload — a refcounted slice of
 // the frame the op arrived in (client request, pre-prepare, state reply),
-// or of the locally frozen propose() buffer. The log, pending_ and
-// exec_history_ all share those buffers, and the decide callback hands the
-// SAME slice up the stack, so the async decide path copies nothing: a
-// committed batch decides k ops as k slices of the one pre-prepare frame.
+// or of the locally frozen propose() buffer. pending_ and the log (batches
+// and executed records alike) share those buffers, and the decide callback
+// hands the SAME slice up the stack, so the async decide path copies
+// nothing: a committed batch decides k ops as k slices of the one
+// pre-prepare frame.
 // Lifetime consequence (net/message.h slice-ownership contract): a
-// retained op pins its WHOLE arrival frame. The pinned set is bounded: the
-// executed history only holds records in (stable_seq_, next_exec_], and
-// in_window caps next_exec_ at stable_seq_ + watermark_window, so at most
-// watermark_window frames stay pinned however long the instance runs.
+// retained op pins its WHOLE arrival frame. The pinned set is bounded: an
+// executed record lives in its log slot, collect_garbage erases every slot
+// at or below the stable checkpoint, and in_window caps next_exec_ at
+// stable_seq_ + watermark_window, so at most watermark_window records stay
+// pinned however long the instance runs.
 #pragma once
 
 #include <cstdint>
@@ -216,12 +218,12 @@ class PbftSmr final : public SmrEngine {
   // Batch observability (tests/benches): executed log slots and the exact
   // per-slot batch sizes are what prove the quorum amortization happened.
   std::uint64_t batches_executed() const { return next_exec_; }
-  // Memory-bound observability: the executed history holds exactly seqs
-  // (history_base(), history_base() + history_size()], and history_size()
+  // Memory-bound observability: history_size() counts the executed records
+  // the log still holds, one per seq in (history_base(), next_exec_], and
   // never exceeds watermark_window (each record pins its batch frames; see
   // the header comment).
-  std::size_t history_size() const { return exec_history_.size(); }
-  std::uint64_t history_base() const { return exec_base_; }
+  std::size_t history_size() const;
+  std::uint64_t history_base() const { return next_exec_ - history_size(); }
   std::uint64_t instance_tag() const { return instance_tag_; }
 
   // Runtime fault conversion (scenario Byzantine-storm primitive): fault_
@@ -251,8 +253,34 @@ class PbftSmr final : public SmrEngine {
     RequestId id;
     net::Payload op;  // slice of the arrival frame; never deep-copied
   };
+  struct ExecOp {
+    NodeId origin;
+    std::uint64_t origin_seq;
+    net::Payload op;  // shares the decided frame (state-transfer source)
+  };
+  // One record per executed seq, holding that seq's whole batch in delivery
+  // order; ops that executed as no-ops (duplicates) are recorded with the
+  // null origin so replayed histories skip them too.
+  struct ExecRecord {
+    std::vector<ExecOp> ops;
+  };
+  // A checkpoint at boundary `seq`: the state digest pins the executed
+  // prefix, the op count pins the decide ordinal space, and the request
+  // ledger lets an installing replica restore its dedup state without
+  // replaying the truncated prefix.
+  struct Checkpoint {
+    std::uint64_t seq = 0;
+    crypto::Digest state_digest{};
+    std::uint64_t ops = 0;
+    Bytes ledger_wire;
+    // CB(seq): the CHECKPOINT wire body AND the thing voted on (votes
+    // store the SHA-256 of these bytes).
+    Bytes body() const;
+  };
   // One log slot holds one BATCH of requests: an empty batch is the null
   // filler a new view uses for gaps (digest all-zero, executes as a no-op).
+  // The slot also keeps what the seq became once executed here or adopted
+  // through state transfer, until the stable checkpoint collects it.
   struct LogEntry {
     std::uint64_t view = 0;
     crypto::Digest digest{};
@@ -260,7 +288,10 @@ class PbftSmr final : public SmrEngine {
     bool pre_prepared = false;
     std::set<NodeId> prepares;
     std::set<NodeId> commits;
-    bool executed = false;
+    std::optional<ExecRecord> record;  // set once the seq executed
+    // Our own checkpoint of this boundary, awaiting 2f+1 matching votes;
+    // promoted to stable_ckpt_ when the slot is collected.
+    std::optional<Checkpoint> own_ckpt;
   };
   struct PreparedProof {
     std::uint64_t seq;
@@ -305,13 +336,21 @@ class PbftSmr final : public SmrEngine {
   void maybe_send_prepare(std::uint64_t seq);
   void maybe_send_commit(std::uint64_t seq);
   void try_execute();
-  void execute_entry(std::uint64_t seq, LogEntry& entry);
+  // Builds the record of a committed batch (an op whose request id already
+  // executed becomes a null op) and applies it.
+  void execute_entry(std::uint64_t seq, const LogEntry& entry);
+  // The one path every executed record takes, run or adopted: folds it into
+  // the state digest, updates the ledgers, stores it in its slot as
+  // next_exec_, checkpoints a boundary and fires the decides.
+  void apply_record(std::uint64_t seq, const ExecRecord& rec);
   // Prepends the instance tag: the envelope every frame travels in (the
   // receiving on_message checks and strips it before dispatch).
   Bytes tagged(const Bytes& body) const;
   void broadcast(net::MsgType type, const Bytes& payload, bool include_self = false);
   void send_checkpoint(std::uint64_t seq);
   void collect_garbage(std::uint64_t stable_seq);
+  // As primary: batch everything still pending afresh and flush it.
+  void reenqueue_pending();
 
   void arm_view_timer();
   void disarm_view_timer();
@@ -324,6 +363,9 @@ class PbftSmr final : public SmrEngine {
   void maybe_assemble_new_view();
   void enter_view(std::uint64_t v, const std::vector<PreparedProof>& carried);
   void request_state_transfer();
+  // The STATE-FETCH request for records (next_exec_, upto) (upto 0 = no
+  // cap), frozen once so a fan-out shares one buffer.
+  net::Payload state_fetch_frame(std::uint64_t upto) const;
 
   bool in_window(std::uint64_t seq) const {
     return seq > stable_seq_ && seq <= stable_seq_ + options_.watermark_window;
@@ -362,13 +404,16 @@ class PbftSmr final : public SmrEngine {
   std::uint64_t origin_seq_ = 0;     // local client sequence
   std::uint64_t view_changes_completed_ = 0;
   std::uint64_t decided_ops_ = 0;    // ops fired through decide_
-  // Fresh (non-duplicate) ops executed, counted per RECORD as it enters the
-  // history — ahead of decided_ops_ while a record's decide callbacks are
-  // still firing (a nested execution at seq+1 must checkpoint with the
-  // outer record fully counted). Equal to decided_ops_ at quiescence; both
+  // Fresh (non-duplicate) ops executed, counted per RECORD as it is applied
+  // — ahead of decided_ops_ while a record's decide callbacks are still
+  // firing (a nested execution at seq+1 must checkpoint with the outer
+  // record fully counted). Equal to decided_ops_ at quiescence; both
   // jump to the checkpoint's count on install.
   std::uint64_t executed_ops_ = 0;
 
+  // The one window of seqs: batches in agreement above next_exec_, executed
+  // records at or below it; collect_garbage truncates it at the stable
+  // checkpoint.
   std::map<std::uint64_t, LogEntry> log_;
   std::map<RequestId, net::Payload> pending_;    // not yet pre-prepared
   RequestLedger assigned_or_executed_;           // dedup
@@ -384,71 +429,36 @@ class PbftSmr final : public SmrEngine {
   // primary re-ordering its own op) must not be delivered twice. Carried
   // inside checkpoint bodies so installs restore the exact dedup state.
   RequestLedger executed_requests_;
-  // seq -> voter -> checkpoint BODY digest (SHA-256 of the full checkpoint
-  // message: seq, state digest, op count, ledger encoding).
+  // seq -> voter -> checkpoint BODY digest (SHA-256 of Checkpoint::body()).
   std::map<std::uint64_t, std::map<NodeId, crypto::Digest>> checkpoints_;
-  struct ExecOp {
-    NodeId origin;
-    std::uint64_t origin_seq;
-    net::Payload op;  // shares the decided frame (state-transfer source)
-  };
-  // One record per executed seq, holding that seq's whole batch in delivery
-  // order; ops that executed as no-ops (duplicates) are recorded with the
-  // null origin so replayed histories skip them too.
-  struct ExecRecord {
-    std::vector<ExecOp> ops;
-  };
-  // Bounded executed history: holds exactly seqs (exec_base_, exec_base_ +
-  // size()]; collect_garbage pops everything at or below the stable
-  // checkpoint, so the deque (and the batch frames it pins) is capped by
-  // the watermark window instead of growing for the life of the instance.
-  std::deque<ExecRecord> exec_history_;
-  std::uint64_t exec_base_ = 0;
+  // Votes for boundary `seq` whose body digest is `d`.
+  std::size_t votes_for(std::uint64_t seq, const crypto::Digest& d) const;
   // Incremental executed-state digest: folded per record as
   // sha256(prev_digest || canonical record encoding). Equal across replicas
   // iff their executed prefixes are identical; checkpoint bodies carry it,
   // and chain validation of fetched records just keeps folding.
   crypto::Digest state_digest_{};
-  // Checkpoint data captured at each boundary we executed (awaiting
-  // stability), and the latest STABLE checkpoint (2f+1 matching votes or
-  // installed) — what handle_state_fetch serves to deep laggards.
-  struct CheckpointData {
-    crypto::Digest state_digest{};
-    std::uint64_t ops = 0;
-    Bytes ledger_wire;
-  };
-  std::map<std::uint64_t, CheckpointData> own_ckpt_;
-  struct StableCheckpoint {
-    std::uint64_t seq = 0;
-    crypto::Digest state_digest{};
-    std::uint64_t ops = 0;
-    Bytes ledger_wire;
-  };
-  std::optional<StableCheckpoint> stable_ckpt_;
+  // The latest STABLE checkpoint (2f+1 matching votes or installed) — what
+  // handle_state_fetch serves to deep laggards.
+  std::optional<Checkpoint> stable_ckpt_;
 
   // Checkpoint plumbing (see pbft.cpp for contracts).
   void fold_record(const ExecRecord& rec);
-  static Bytes checkpoint_body(std::uint64_t seq, const crypto::Digest& state_digest,
-                               std::uint64_t ops, const Bytes& ledger_wire);
   void maybe_stabilize();
-  void trim_history();
   std::uint64_t validate_chain(const std::vector<ExecRecord>& entries) const;
   void adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_t count);
-  void install_checkpoint(std::uint64_t cseq, const crypto::Digest& state_digest,
-                          std::uint64_t ops, RequestLedger ledger, Bytes ledger_wire);
+  void install_checkpoint(Checkpoint ckpt, RequestLedger ledger);
   std::vector<ExecRecord> parse_exec_records(const net::Message& msg, ByteReader& r) const;
   static void encode_exec_record(ByteWriter& w, const ExecRecord& rec);
+  // varint count, then the records of seqs (after, upto] from their slots.
+  void encode_records(ByteWriter& w, std::uint64_t after, std::uint64_t upto) const;
+  // The f+1 rule for replies no checkpoint vouches for: true once f+1
+  // distinct replicas sent byte-identical copies of this reply.
+  bool reply_vouched(const net::Message& msg);
 
   // State-reply kinds (u8 after the instance tag).
   static constexpr std::uint8_t kStateReplyRange = 0;    // head records only
   static constexpr std::uint8_t kStateReplyInstall = 1;  // stable ckpt + head
-
-  // Nested-execution guard: decide callbacks may propose, and with tiny
-  // quorums that executes the NEXT seq inline. History truncation must not
-  // run while any execute/adopt frame is live on the stack (it would pop
-  // records mid-delivery); trim_history defers until the outermost frame
-  // unwinds.
-  int exec_depth_ = 0;
 
   // Head-gap catch-up: a replica whose engine attached mid-instance (a
   // state-synced joiner) or that was cut off (partition heal) may hold

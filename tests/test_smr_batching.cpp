@@ -1,6 +1,7 @@
 // Edge cases of PBFT request batching: deadline vs size-bound flushes, the
 // byte bound splitting a burst, view changes that strand a buffered batch,
-// an equivocating primary sending conflicting BATCHES, and state transfer
+// an equivocating primary sending conflicting BATCHES, a batch repeating
+// one request, and state transfer
 // of a batched exec history to a head-gap replica. The happy paths (order,
 // faults, checkpoints) live in test_smr_async.cpp; this file pins down the
 // seams batching added.
@@ -14,6 +15,7 @@
 
 #include "common/serde.h"
 #include "crypto/keys.h"
+#include "crypto/sha256.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "smr/pbft.h"
@@ -179,6 +181,46 @@ TEST(PbftBatching, EquivocatingPrimaryCannotForkBatches) {
     int count = 0;
     for (const auto& [origin, op] : g.decided[1]) count += (origin == 1 && op == want);
     EXPECT_LE(count, 1) << "op " << i << " delivered twice";
+  }
+}
+
+// A Byzantine primary may put one pending request into a batch twice; the
+// batch still commits, since every op matches the client's own broadcast.
+// Execution records the repeat as a null op, so the op decides once
+// everywhere.
+TEST(PbftBatching, RepeatedRequestInOneBatchDecidesOnce) {
+  PbftOptions opt;
+  opt.batch_flush_delay = seconds(3600);  // the real primary never flushes by itself
+  BatchGroup g(4, opt);
+  g.at(1).propose(op_bytes("twice"));  // request (1, 1), pending at every replica
+  g.run_for(millis(100));
+
+  // Replica 0's pre-prepare for seq 1, forged to carry that request twice.
+  ByteWriter ops;
+  ops.varint(2);
+  for (int i = 0; i < 2; ++i) {
+    ops.u64(1);  // origin
+    ops.u64(1);  // origin seq
+    ops.bytes(op_bytes("twice"));
+  }
+  const crypto::Digest digest = crypto::sha256(ops.data());
+  ByteWriter w;
+  w.u64(g.at(0).instance_tag());
+  w.u64(0);  // view
+  w.u64(1);  // seq
+  w.raw(digest.data(), digest.size());
+  w.bytes(ops.data());
+  const net::Payload frame(w.take());
+  for (NodeId n = 0; n < 4; ++n) {
+    g.net.send(net::Message{0, n, net::MsgType::kPbftPrePrepare, frame});
+  }
+  g.run_for(seconds(2));
+
+  for (NodeId n = 0; n < 4; ++n) {
+    EXPECT_EQ(g.at(n).batches_executed(), 1u) << "replica " << n;
+    ASSERT_EQ(g.decided[n].size(), 1u) << "replica " << n;
+    EXPECT_EQ(g.decided[n][0].first, 1u);
+    EXPECT_EQ(g.decided[n][0].second, op_bytes("twice"));
   }
 }
 

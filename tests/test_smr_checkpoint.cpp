@@ -1,7 +1,10 @@
 // Regression tests for the PBFT checkpoint window and the config-history
 // hash chain:
 //  * the executed history stays bounded by watermark_window however long
-//    the instance runs (the seed pinned every batch frame forever);
+//    the instance runs (the seed pinned every batch frame forever), also
+//    when every op is proposed from the previous op's decide callback;
+//  * records adopted through state transfer count as decided, exactly like
+//    executed ones;
 //  * a laggard whose gap crosses the peers' truncation point installs the
 //    stable checkpoint and reports the skipped range through the install
 //    handler, then converges on the suffix;
@@ -12,6 +15,7 @@
 //    leave-confirmation gap).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -35,22 +39,32 @@ struct CkptGroup {
   net::SimNetwork net{sim, net::NetworkConfig::datacenter(), 77};
   crypto::KeyStore keys{29};
   GroupConfig cfg;
+  std::vector<std::unique_ptr<obs::Registry>> metrics;  // one per replica
   std::vector<std::unique_ptr<PbftSmr>> replicas;
   std::map<NodeId, std::vector<std::pair<NodeId, Bytes>>> decided;
+  // Runs after each decide is recorded (nullable).
+  std::function<void(NodeId)> after_decide;
 
   explicit CkptGroup(std::size_t g, PbftOptions opt) {
     for (NodeId n = 0; n < g; ++n) cfg.members.push_back(n);
     for (NodeId n = 0; n < g; ++n) {
-      auto r = std::make_unique<PbftSmr>(net::Transport(net, n), cfg, keys, opt,
+      metrics.push_back(std::make_unique<obs::Registry>());
+      PbftOptions own = opt;
+      own.metrics = metrics.back().get();
+      auto r = std::make_unique<PbftSmr>(net::Transport(net, n), cfg, keys, own,
                                          PbftFaultMode::kCorrect);
       r->set_decide_handler([this, n](std::uint64_t, NodeId origin, const net::Payload& op) {
         decided[n].emplace_back(origin, op.to_bytes());
+        if (after_decide) after_decide(n);
       });
       replicas.push_back(std::move(r));
     }
   }
 
   PbftSmr& at(std::size_t i) { return *replicas[i]; }
+  std::uint64_t counter(std::size_t i, const char* name) {
+    return metrics[i]->counter(name).value();
+  }
   void run_for(DurationMicros d) { sim.run_until(sim.now() + d); }
 };
 
@@ -90,39 +104,114 @@ TEST(PbftCheckpoint, ExecutedHistoryStaysBoundedByWindow) {
 // 0 here while stable_seq() reached 400. An advance may skip boundaries, so
 // the count is at most one per interval.
 TEST(PbftCheckpoint, StableCheckpointCounterCountsEveryAdvance) {
-  constexpr std::size_t kReplicas = 4;
   PbftOptions opt;
   opt.checkpoint_interval = 4;
   opt.watermark_window = 16;
   opt.batch_max_ops = 1;
-  sim::Simulator sim;
-  net::SimNetwork net{sim, net::NetworkConfig::datacenter(), 77};
-  crypto::KeyStore keys{29};
-  GroupConfig cfg;
-  for (NodeId n = 0; n < kReplicas; ++n) cfg.members.push_back(n);
-  std::vector<std::unique_ptr<obs::Registry>> metrics;
-  std::vector<std::unique_ptr<PbftSmr>> replicas;
-  for (NodeId n = 0; n < kReplicas; ++n) {
-    metrics.push_back(std::make_unique<obs::Registry>());
-    PbftOptions own = opt;
-    own.metrics = metrics.back().get();
-    replicas.push_back(std::make_unique<PbftSmr>(net::Transport(net, n), cfg, keys, own,
-                                                 PbftFaultMode::kCorrect));
-  }
+  CkptGroup g(4, opt);
 
   for (int i = 0; i < 400; ++i) {
-    replicas[static_cast<std::size_t>(i) % kReplicas]->propose(
-        op_bytes("op" + std::to_string(i)));
-    if (i % 10 == 9) sim.run_until(sim.now() + millis(200));
+    g.at(static_cast<std::size_t>(i % 4)).propose(op_bytes("op" + std::to_string(i)));
+    if (i % 10 == 9) g.run_for(millis(200));
   }
-  sim.run_until(sim.now() + seconds(10));
+  g.run_for(seconds(10));
 
-  for (std::size_t n = 0; n < kReplicas; ++n) {
-    const std::uint64_t stable = replicas[n]->stable_seq();
-    const std::uint64_t counted = metrics[n]->counter("smr.checkpoints_stable").value();
+  for (NodeId n = 0; n < 4; ++n) {
+    const std::uint64_t stable = g.at(n).stable_seq();
+    const std::uint64_t counted = g.counter(n, "smr.checkpoints_stable");
     EXPECT_GE(stable, 396u) << "replica " << n;
     EXPECT_GE(counted, 1u) << "replica " << n << ": advances went uncounted";
     EXPECT_LE(counted, stable / opt.checkpoint_interval) << "replica " << n;
+  }
+}
+
+// Records adopted through a state reply fire decide like executed ones, so
+// they count like them: smr.ops_decided, smr.batches_executed and
+// smr.batch_ops used to skip every adopted record.
+TEST(PbftCheckpoint, AdoptedRecordsCountAsDecided) {
+  PbftOptions opt;
+  opt.batch_max_ops = 1;
+  CkptGroup g(4, opt);
+
+  g.net.isolate(3, true);
+  for (int i = 0; i < 10; ++i) g.at(0).propose(op_bytes("op" + std::to_string(i)));
+  g.run_for(seconds(2));
+  ASSERT_EQ(g.decided[0].size(), 10u);
+  ASSERT_TRUE(g.decided[3].empty());
+
+  // Healed, replica 3 sees later seqs commit without ever having seen seqs
+  // 1..10; no checkpoint truncated them (interval 64), so it fetches the
+  // head range and adopts its records from f+1 byte-identical replies.
+  g.net.isolate(3, false);
+  for (int i = 10; i < 15; ++i) g.at(0).propose(op_bytes("op" + std::to_string(i)));
+  g.run_for(seconds(10));
+
+  ASSERT_EQ(g.decided[3], g.decided[0]);
+  ASSERT_EQ(g.decided[3].size(), 15u);
+  EXPECT_EQ(g.counter(3, "smr.checkpoint_installs"), 0u) << "caught up by range, not install";
+  EXPECT_EQ(g.counter(3, "smr.ops_decided"), g.decided[3].size());
+  EXPECT_EQ(g.counter(3, "smr.batches_executed"), g.at(3).batches_executed());
+}
+
+// Every op is proposed from inside the previous op's decide callback. With
+// f = 0 replica 0 is a quorum on its own, so the whole chain executes
+// inside the first propose(), stabilising and truncating at every
+// boundary while ops are still being proposed. Replica 1 is a fresh
+// laggard, cut off from the start: it installs a checkpoint, then adopts
+// the records above it through a head-range reply.
+TEST(PbftCheckpoint, ChainedProposalsDecideOnceAcrossBoundaries) {
+  PbftOptions opt;
+  opt.checkpoint_interval = 4;
+  opt.watermark_window = 16;
+  opt.batch_max_ops = 1;
+  opt.view_change_timeout = seconds(30);  // the lone laggard must not take over
+  CkptGroup g(2, opt);
+  ASSERT_EQ(g.at(0).max_faults(), 0u);
+
+  int next = 0, target = 0;
+  auto propose_next = [&] {
+    if (next < target) g.at(0).propose(op_bytes("op" + std::to_string(next++)));
+  };
+  g.after_decide = [&](NodeId n) {
+    if (n == 0) propose_next();
+  };
+  std::uint64_t skipped = 0;
+  g.at(1).set_install_handler(
+      [&](std::uint64_t, std::uint64_t, std::uint64_t from_ops, std::uint64_t to_ops) {
+        skipped += to_ops - from_ops;
+      });
+
+  g.net.isolate(1, true);
+  target = 40;
+  propose_next();
+  ASSERT_EQ(g.decided[0].size(), 40u) << "the chain runs inside the first propose()";
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(g.decided[0][static_cast<std::size_t>(i)].second, op_bytes("op" + std::to_string(i)));
+  }
+  EXPECT_EQ(g.at(0).stable_seq(), 40u);
+  EXPECT_LE(g.at(0).history_size(), opt.watermark_window);
+
+  // Healed, replica 1 drops seqs 41..50 as beyond its window but installs
+  // checkpoint 48 off replica 0's vote. Seq 51 then lands inside its new
+  // window, and the head gap 49..50 comes back as a range reply.
+  g.net.isolate(1, false);
+  target = 50;
+  propose_next();
+  g.run_for(seconds(1));
+  target = 51;
+  propose_next();
+  g.run_for(seconds(5));
+
+  ASSERT_EQ(g.decided[0].size(), 51u);
+  EXPECT_EQ(skipped, 48u);
+  ASSERT_EQ(skipped + g.decided[1].size(), 51u);
+  for (std::size_t i = 0; i < g.decided[1].size(); ++i) {
+    EXPECT_EQ(g.decided[1][i], g.decided[0][static_cast<std::size_t>(skipped) + i])
+        << "divergence at suffix index " << i;
+  }
+  for (NodeId n = 0; n < 2; ++n) {
+    EXPECT_EQ(g.at(n).batches_executed(), 51u) << "replica " << n;
+    EXPECT_LE(g.at(n).history_size(), opt.watermark_window) << "replica " << n;
   }
 }
 
