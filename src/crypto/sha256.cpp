@@ -25,10 +25,12 @@ std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); 
 // between phases, never used to order memory — and it keeps finish() exact
 // (and TSan-clean) when digests are computed from worker threads.
 std::atomic<std::uint64_t> g_digest_count{0};
+std::atomic<std::uint64_t> g_block_count{0};
 
 }  // namespace
 
 std::uint64_t sha256_digest_count() { return g_digest_count.load(std::memory_order_relaxed); }
+std::uint64_t sha256_block_count() { return g_block_count.load(std::memory_order_relaxed); }
 
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -107,6 +109,8 @@ Digest Sha256::finish() {
   if (finished_) throw std::logic_error("Sha256: finish called twice");
   finished_ = true;
   g_digest_count.fetch_add(1, std::memory_order_relaxed);
+  // Message plus the 0x80 byte and the 8-byte length, rounded up to blocks.
+  g_block_count.fetch_add((total_bytes_ + 8) / 64 + 1, std::memory_order_relaxed);
   std::uint64_t bit_len = total_bytes_ * 8;
 
   std::uint8_t pad[72];

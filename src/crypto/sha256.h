@@ -7,7 +7,8 @@
 // over the free sha256() functions: it memoizes the digest on the frame's
 // shared control block, making the at-most-one-hash-per-frame invariant
 // hold across every receiver, relay, and voucher that shares the buffer.
-// sha256_digest_count() below exists to let tests pin that invariant.
+// sha256_digest_count() and sha256_block_count() below exist to let tests
+// pin that invariant and the volume hashed.
 #pragma once
 
 #include <array>
@@ -55,6 +56,10 @@ Digest sha256(std::string_view data);
 // vouching for the same frame at N receivers hashed exactly once. Not a
 // performance counter to branch on in protocol code.
 std::uint64_t sha256_digest_count();
+// Compression blocks those digests ran: ceil((len + 9) / 64) per digest, so
+// a 55-byte message costs 1 block and a 56-byte one 2. A call count hides
+// the hashed volume; this does not.
+std::uint64_t sha256_block_count();
 
 std::string to_hex(const Digest& d);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <utility>
 
 #include "common/log.h"
 #include "obs/registry.h"
@@ -19,6 +21,21 @@ crypto::Digest read_digest(ByteReader& r) {
   crypto::Digest d;
   r.raw(d.data(), d.size());
   return d;
+}
+
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+// One link of the state-digest chain: SHA-256(state || rd), two blocks
+// whatever the record's size.
+crypto::Digest fold(const crypto::Digest& state, const crypto::Digest& rd) {
+  crypto::Sha256 h;
+  h.update(state.data(), state.size());
+  h.update(rd.data(), rd.size());
+  return h.finish();
 }
 
 }  // namespace
@@ -122,6 +139,7 @@ std::vector<PbftSmr::Request> PbftSmr::parse_ops_region(
   if (count > r.remaining()) throw SerdeError("ops region count exceeds buffer");
   std::vector<Request> batch;
   batch.reserve(static_cast<std::size_t>(count));
+  std::size_t canonical = varint_size(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     Request req;
     req.id.origin = r.u64();
@@ -130,17 +148,15 @@ std::vector<PbftSmr::Request> PbftSmr::parse_ops_region(
     // The null origin is reserved for gap-filling empty batches; an op
     // claiming it could never be matched against a client broadcast.
     if (req.id.origin == kNullOrigin) throw SerdeError("op with null origin");
+    canonical += 16 + varint_size(req.op.size()) + req.op.size();
     batch.push_back(std::move(req));
   }
   r.expect_done();
+  // An overlong varint decodes to the same batch but re-encodes shorter.
+  // Only the canonical bytes may carry the batch digest: execution folds
+  // that digest as the record digest of the batch (see execute_entry).
+  if (canonical != region.size()) throw SerdeError("non-canonical ops region");
   return batch;
-}
-
-crypto::Digest PbftSmr::batch_digest(const std::vector<Request>& batch) const {
-  if (batch.empty()) return crypto::Digest{};  // null batch: never hashed
-  ByteWriter w;
-  encode_ops_region(w, batch);
-  return crypto::sha256(w.data());
 }
 
 Bytes PbftSmr::tagged(const Bytes& body) const {
@@ -273,22 +289,25 @@ void PbftSmr::flush_batch() {
                                std::make_move_iterator(batch_buf_.begin() + static_cast<long>(count)));
     batch_buf_.erase(batch_buf_.begin(), batch_buf_.begin() + static_cast<long>(count));
     std::uint64_t seq = next_seq_++;
-    crypto::Digest d = batch_digest(batch);
     for (const Request& r : batch) assigned_or_executed_.insert(r.id.origin, r.id.seq);
     // NOTE: the requests stay in pending_ until EXECUTED — the view-change
     // timer watches pending_, and an assigned-but-never-committed request
     // must still be able to trigger a view change.
 
+    // Encodes the ops region of `b` once and hashes it once: the
+    // pre-prepare body and the batch digest it carries.
     auto encode = [&](const std::vector<Request>& b) {
+      ByteWriter ow;
+      encode_ops_region(ow, b);
+      const crypto::Digest digest = crypto::sha256(ow.data());
       ByteWriter w;
       w.u64(view_);
       w.u64(seq);
-      write_digest(w, batch_digest(b));
-      ByteWriter ow;
-      encode_ops_region(ow, b);
+      write_digest(w, digest);
       w.bytes(ow.data());
-      return w.take();
+      return std::pair{w.take(), digest};
     };
+    const auto [body, d] = encode(batch);
 
     LogEntry& entry = log_[seq];
     entry.view = view_;
@@ -304,7 +323,7 @@ void PbftSmr::flush_batch() {
       Bytes alt_op = alt.front().op.to_bytes();
       alt_op.push_back(0xFF);
       alt.front().op = net::Payload(std::move(alt_op));
-      net::Payload wire_a(tagged(encode(entry.batch))), wire_b(tagged(encode(alt)));
+      net::Payload wire_a(tagged(body)), wire_b(tagged(encode(alt).first));
       std::size_t half = config_.size() / 2;
       for (std::size_t i = 0; i < config_.size(); ++i) {
         if (config_.members[i] == transport_.self()) continue;
@@ -316,7 +335,7 @@ void PbftSmr::flush_batch() {
 
     if (ctr_pre_prepares_ != nullptr) ctr_pre_prepares_->inc();
     trace(obs::TracePoint::kPrePrepare, crypto::digest_prefix64(d), seq, entry.batch.size());
-    broadcast(net::MsgType::kPbftPrePrepare, encode(entry.batch));
+    broadcast(net::MsgType::kPbftPrePrepare, body);
     maybe_send_prepare(seq);
   }
   flushing_ = false;
@@ -518,14 +537,21 @@ void PbftSmr::execute_entry(std::uint64_t seq, const LogEntry& entry) {
   // identically.
   ExecRecord rec;
   rec.ops.reserve(entry.batch.size());
+  bool nulled = false;
   for (auto req = entry.batch.begin(); req != entry.batch.end(); ++req) {
     const bool repeat =
         executed_requests_.contains(req->id.origin, req->id.seq) ||
         std::any_of(entry.batch.begin(), req, [&](const Request& r) { return r.id == req->id; });
+    nulled |= repeat;
     rec.ops.push_back(repeat ? ExecOp{kNullOrigin, req->id.seq, {}}
                              : ExecOp{req->id.origin, req->id.seq, req->op});
   }
-  apply_record(seq, rec);
+  // A record that nulled none of its ops encodes to exactly the batch's
+  // (canonical) ops region, so the slot's verified batch digest already IS
+  // its record digest. A null filler (its digest is all-zero, never
+  // hashed) or a record with a null op is hashed from its own encoding.
+  const crypto::Digest rd = entry.batch.empty() || nulled ? record_digest(rec) : entry.digest;
+  apply_record(seq, rec, fold(state_digest_, rd));
   maybe_stabilize();
   // Progress was made: withdraw any view change this replica started out of
   // lag, then restart (or, with nothing pending, disarm) the liveness timer.
@@ -535,15 +561,16 @@ void PbftSmr::execute_entry(std::uint64_t seq, const LogEntry& entry) {
   arm_view_timer();
 }
 
-void PbftSmr::apply_record(std::uint64_t seq, const ExecRecord& rec) {
-  // Ordering matters: fold the record into the state digest, count its
-  // fresh ops, and capture the checkpoint at a boundary BEFORE any decide
+void PbftSmr::apply_record(std::uint64_t seq, const ExecRecord& rec,
+                           const crypto::Digest& state_after) {
+  // Ordering matters: advance the state digest, count the record's fresh
+  // ops, and capture the checkpoint at a boundary BEFORE any decide
   // callback runs — a callback may propose and (with tiny quorums) execute
   // the next seq inline, and that nested execution's checkpoint must see
   // this record fully accounted. A served record is folded VERBATIM: the
   // state digest chain covers the null-op markers too, so re-nulling
   // against local ledger state would fork the chain from the group's.
-  fold_record(rec);
+  state_digest_ = state_after;
   std::uint64_t fresh_ops = 0;
   for (const ExecOp& op : rec.ops) {
     if (op.origin == kNullOrigin) continue;
@@ -584,9 +611,10 @@ std::size_t PbftSmr::history_size() const {
 // Checkpoints & state transfer
 // ---------------------------------------------------------------------------
 
-// Canonical per-record encoding: folded into the incremental state digest
-// and reused verbatim by state replies, so a fetcher re-folding served
-// records reproduces the server's digest chain byte-for-byte.
+// Canonical per-record encoding: hashed into the record digest and reused
+// verbatim by state replies, so a fetcher re-folding served records
+// reproduces the server's digest chain byte-for-byte. It is the ops-region
+// layout, with null ops carrying the null origin and an empty op.
 void PbftSmr::encode_exec_record(ByteWriter& w, const ExecRecord& rec) {
   w.varint(rec.ops.size());
   for (const ExecOp& op : rec.ops) {
@@ -596,11 +624,10 @@ void PbftSmr::encode_exec_record(ByteWriter& w, const ExecRecord& rec) {
   }
 }
 
-void PbftSmr::fold_record(const ExecRecord& rec) {
+crypto::Digest PbftSmr::record_digest(const ExecRecord& rec) {
   ByteWriter w;
-  w.raw(state_digest_.data(), state_digest_.size());
   encode_exec_record(w, rec);
-  state_digest_ = crypto::sha256(w.data());
+  return crypto::sha256(w.data());
 }
 
 // Checkpoint body CB(seq) — the full wire message AND the thing voted on
@@ -805,31 +832,45 @@ std::vector<PbftSmr::ExecRecord> PbftSmr::parse_exec_records(const net::Message&
 // checkpoint boundary rebuild the body the chain implies and count matching
 // votes. Returns the highest boundary that f+1 voters confirm (0 = none) —
 // everything up to it is provably the group's history, because a correct
-// voter hashed the same digest chain over the same records. O(served
-// bytes), unlike the seed's full-prefix rehash per candidate checkpoint.
-std::uint64_t PbftSmr::validate_chain(const std::vector<ExecRecord>& entries) const {
+// voter hashed the same digest chain over the same records — and leaves in
+// `chain` the state digest after each record up to it, so adoption does
+// not fold them again. Only a boundary with f+1 voters can confirm
+// anything, so nothing past the last such boundary in reach is hashed (a
+// head-gap reply with none costs no hashing here at all).
+std::uint64_t PbftSmr::validate_chain(const std::vector<ExecRecord>& entries,
+                                      std::vector<crypto::Digest>& chain) const {
+  chain.clear();
+  const auto confirmable = [&](std::uint64_t seq) {
+    auto it = checkpoints_.find(seq);
+    return it != checkpoints_.end() && it->second.size() >= max_faults() + 1;
+  };
+  std::uint64_t last = 0;
+  for (auto it = std::make_reverse_iterator(checkpoints_.upper_bound(next_exec_ + entries.size()));
+       it != checkpoints_.rend() && it->first > next_exec_; ++it) {
+    if (confirmable(it->first)) {
+      last = it->first;
+      break;
+    }
+  }
   crypto::Digest digest = state_digest_;
   std::uint64_t ops = executed_ops_;
   RequestLedger ledger = executed_requests_;
   std::uint64_t best = 0;
-  std::uint64_t seq = next_exec_;
-  for (const ExecRecord& rec : entries) {
-    ++seq;
-    ByteWriter fw;
-    fw.raw(digest.data(), digest.size());
-    encode_exec_record(fw, rec);
-    digest = crypto::sha256(fw.data());
+  for (std::uint64_t seq = next_exec_ + 1; seq <= last; ++seq) {
+    const ExecRecord& rec = entries[static_cast<std::size_t>(seq - next_exec_ - 1)];
+    digest = fold(digest, record_digest(rec));
+    chain.push_back(digest);
     for (const ExecOp& op : rec.ops) {
       if (op.origin == kNullOrigin) continue;
       if (ledger.insert(op.origin, op.origin_seq)) ++ops;
     }
-    if (seq % options_.checkpoint_interval != 0) continue;
-    if (!checkpoints_.contains(seq)) continue;
+    if (seq % options_.checkpoint_interval != 0 || !confirmable(seq)) continue;
     ByteWriter lw;
     ledger.encode(lw);
     const Checkpoint implied{seq, digest, ops, lw.take()};
     if (votes_for(seq, crypto::sha256(implied.body())) >= max_faults() + 1) best = seq;
   }
+  chain.resize(best > next_exec_ ? static_cast<std::size_t>(best - next_exec_) : 0);
   return best;
 }
 
@@ -851,9 +892,10 @@ void PbftSmr::handle_state_reply(const net::Message& msg) {
     std::vector<ExecRecord> entries = parse_exec_records(msg, r);
     r.expect_done();
     if (entries.empty()) return;
-    std::uint64_t validated = validate_chain(entries);
+    std::vector<crypto::Digest> chain;
+    std::uint64_t validated = validate_chain(entries, chain);
     if (validated > next_exec_) {
-      adopt_entries(entries, validated - next_exec_);
+      adopt_entries(entries, validated - next_exec_, chain);
       collect_garbage(validated);
       return;
     }
@@ -909,8 +951,9 @@ void PbftSmr::handle_state_reply(const net::Message& msg) {
       // Checkpoint votes cover only the body — a Byzantine server holding a
       // genuine checkpoint could still forge head records. Adopt only the
       // prefix a LATER vouched boundary confirms through the digest chain.
-      std::uint64_t validated = validate_chain(head);
-      if (validated > next_exec_) adopt_entries(head, validated - next_exec_);
+      std::vector<crypto::Digest> chain;
+      std::uint64_t validated = validate_chain(head, chain);
+      if (validated > next_exec_) adopt_entries(head, validated - next_exec_, chain);
     }
   }
   maybe_stabilize();
@@ -952,7 +995,8 @@ void PbftSmr::install_checkpoint(Checkpoint ckpt, RequestLedger ledger) {
   abandon_view_change();
 }
 
-void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_t count) {
+void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_t count,
+                            const std::vector<crypto::Digest>& chain) {
   const std::uint64_t start = next_exec_;
   for (std::uint64_t i = 0; i < count && i < entries.size(); ++i) {
     const std::uint64_t seq = start + i + 1;
@@ -962,7 +1006,10 @@ void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_
     // than fold records out of order.
     if (seq != next_exec_ + 1) break;
     log_.erase(seq);  // an unexecutable duplicate must not shadow the record
-    apply_record(seq, entries[static_cast<std::size_t>(i)]);
+    const auto idx = static_cast<std::size_t>(i);
+    const ExecRecord& rec = entries[idx];
+    apply_record(seq, rec,
+                 idx < chain.size() ? chain[idx] : fold(state_digest_, record_digest(rec)));
   }
   maybe_stabilize();
   next_seq_ = std::max(next_seq_, next_exec_ + 1);

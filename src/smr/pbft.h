@@ -19,8 +19,9 @@
 //   COMMIT       all -> all; *committed-local* after 2f+1 matching commits;
 //                executed in sequence order, firing decide per op in batch
 //                order
-//   CHECKPOINT   every K executions; carries the incremental state digest,
-//                the executed-op count and the request ledger at the
+//   CHECKPOINT   every K executions; carries the state digest (a chain
+//                over record digests, see state_digest_), the executed-op
+//                count and the request ledger at the
 //                boundary; stable after 2f+1 matching body digests, which
 //                advances the low watermark, truncates the log (executed
 //                records included) behind the boundary (memory stops
@@ -41,11 +42,13 @@
 //   ops_region := varint op_count, op_count x { u64 origin, u64 origin_seq,
 //                 bytes op }
 // The batch digest is the SHA-256 of the ops_region bytes — the encoding is
-// canonical, so the primary (hashing the buffer it wrote) and the backups
-// (hashing a slice of the arrival frame, hitting the Payload digest memo)
-// agree byte-for-byte. An empty ops_region (op_count 0) is the null batch
-// that fills view-change gaps; its digest is the all-zero digest and it is
-// never hashed or checked.
+// canonical (parse_ops_region rejects any other), so the primary (hashing
+// the buffer it wrote) and the backups (hashing a slice of the arrival
+// frame, hitting the Payload digest memo) agree byte-for-byte, and the
+// digest doubles as the record digest of a batch that executes without a
+// null op. An empty ops_region (op_count 0) is the null batch that fills
+// view-change gaps; its digest is the all-zero digest and it is never
+// hashed or checked.
 //
 // Zero-copy op path: Request::op is a net::Payload — a refcounted slice of
 // the frame the op arrived in (client request, pre-prepare, state reply),
@@ -236,6 +239,10 @@ class PbftSmr final : public SmrEngine {
   std::size_t quorum() const { return 2 * max_faults() + 1; }
   std::uint64_t view() const { return view_; }
   std::uint64_t stable_seq() const { return stable_seq_; }
+  // The executed-state digest after next_exec_ records (see state_digest_):
+  // equal at two replicas with equal batches_executed() unless one of them
+  // executed a different history.
+  const crypto::Digest& state_digest() const { return state_digest_; }
   bool is_primary() const { return primary_of(view_) == transport_.self(); }
   NodeId primary_of(std::uint64_t v) const {
     return config_.members[static_cast<std::size_t>(v % config_.size())];
@@ -329,20 +336,22 @@ class PbftSmr final : public SmrEngine {
   // exactly these bytes.
   static void encode_ops_region(ByteWriter& w, const std::vector<Request>& batch);
   // Parses an ops region as zero-copy slices of `frame`. Throws SerdeError
-  // on malformed bytes (including an op claiming the null origin).
+  // on malformed bytes (including an op claiming the null origin) and on
+  // bytes that are not the canonical encoding of the batch they decode to.
   static std::vector<Request> parse_ops_region(const net::Payload& frame,
                                                std::span<const std::uint8_t> region);
-  crypto::Digest batch_digest(const std::vector<Request>& batch) const;
   void maybe_send_prepare(std::uint64_t seq);
   void maybe_send_commit(std::uint64_t seq);
   void try_execute();
   // Builds the record of a committed batch (an op whose request id already
-  // executed becomes a null op) and applies it.
+  // executed becomes a null op) and applies it, reusing the batch digest as
+  // the record digest when no op was nulled.
   void execute_entry(std::uint64_t seq, const LogEntry& entry);
-  // The one path every executed record takes, run or adopted: folds it into
-  // the state digest, updates the ledgers, stores it in its slot as
-  // next_exec_, checkpoints a boundary and fires the decides.
-  void apply_record(std::uint64_t seq, const ExecRecord& rec);
+  // The one path every executed record takes, run or adopted: moves the
+  // state digest to `state_after` (the caller's fold of the record digest),
+  // updates the ledgers, stores the record in its slot as next_exec_,
+  // checkpoints a boundary and fires the decides.
+  void apply_record(std::uint64_t seq, const ExecRecord& rec, const crypto::Digest& state_after);
   // Prepends the instance tag: the envelope every frame travels in (the
   // receiving on_message checks and strips it before dispatch).
   Bytes tagged(const Bytes& body) const;
@@ -433,23 +442,32 @@ class PbftSmr final : public SmrEngine {
   std::map<std::uint64_t, std::map<NodeId, crypto::Digest>> checkpoints_;
   // Votes for boundary `seq` whose body digest is `d`.
   std::size_t votes_for(std::uint64_t seq, const crypto::Digest& d) const;
-  // Incremental executed-state digest: folded per record as
-  // sha256(prev_digest || canonical record encoding). Equal across replicas
-  // iff their executed prefixes are identical; checkpoint bodies carry it,
-  // and chain validation of fetched records just keeps folding.
+  // Incremental executed-state digest, a chain over record digests: per
+  // record, state' = sha256(state || rd) with rd = record_digest(rec).
+  // Equal across replicas iff their executed prefixes are identical (under
+  // SHA-256 collision resistance); checkpoint bodies carry it, and chain
+  // validation of fetched records just keeps folding.
   crypto::Digest state_digest_{};
   // The latest STABLE checkpoint (2f+1 matching votes or installed) — what
   // handle_state_fetch serves to deep laggards.
   std::optional<Checkpoint> stable_ckpt_;
 
   // Checkpoint plumbing (see pbft.cpp for contracts).
-  void fold_record(const ExecRecord& rec);
   void maybe_stabilize();
-  std::uint64_t validate_chain(const std::vector<ExecRecord>& entries) const;
-  void adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_t count);
+  std::uint64_t validate_chain(const std::vector<ExecRecord>& entries,
+                               std::vector<crypto::Digest>& chain) const;
+  // Applies the first `count` entries at next_exec_+1 onward; `chain`
+  // (validate_chain's output, may be shorter or empty) supplies the state
+  // digests already computed for a prefix of them.
+  void adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_t count,
+                     const std::vector<crypto::Digest>& chain = {});
   void install_checkpoint(Checkpoint ckpt, RequestLedger ledger);
   std::vector<ExecRecord> parse_exec_records(const net::Message& msg, ByteReader& r) const;
   static void encode_exec_record(ByteWriter& w, const ExecRecord& rec);
+  // rd: the SHA-256 of encode_exec_record(rec), the one definition of what
+  // the state-digest chain folds per record, executed or adopted. For a
+  // record with no null op it equals the batch digest (same bytes).
+  static crypto::Digest record_digest(const ExecRecord& rec);
   // varint count, then the records of seqs (after, upto] from their slots.
   void encode_records(ByteWriter& w, std::uint64_t after, std::uint64_t upto) const;
   // The f+1 rule for replies no checkpoint vouches for: true once f+1

@@ -103,6 +103,8 @@ class ReconfigurableSmr {
   std::uint64_t decided_count() const { return global_seq_; }
   // False once the local node has been reconfigured out of the group.
   bool active() const { return engine_ != nullptr; }
+  // The current epoch's engine (null once inactive), for inspection.
+  const SmrEngine* engine() const { return engine_.get(); }
   void stop();
 
  private:

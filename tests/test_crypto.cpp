@@ -197,5 +197,32 @@ TEST(Sha256, DigestCountTracksEveryFinish) {
   EXPECT_EQ(sha256_digest_count(), base + 4);
 }
 
+// Padding adds the 0x80 byte and an 8-byte length: 55 bytes fit one block,
+// 56 spill into a second, and 64 still take two.
+TEST(Sha256, BlockCountFollowsPadding) {
+  auto blocks_for = [](std::size_t len) {
+    const std::uint64_t before = sha256_block_count();
+    (void)sha256(Bytes(len, 0xab));
+    return sha256_block_count() - before;
+  };
+  EXPECT_EQ(blocks_for(0), 1u);
+  EXPECT_EQ(blocks_for(55), 1u);
+  EXPECT_EQ(blocks_for(56), 2u);
+  EXPECT_EQ(blocks_for(64), 2u);
+  EXPECT_EQ(blocks_for(119), 2u);
+  EXPECT_EQ(blocks_for(120), 3u);
+  // Streamed updates count the same as one buffer; HMAC runs its two
+  // nested hashes over a 64-byte pad each: 2 blocks inner (64 + 3 bytes),
+  // 2 outer (64 + 32).
+  const std::uint64_t before = sha256_block_count();
+  Sha256 h;
+  h.update(Bytes(30, 1));
+  h.update(Bytes(30, 2));
+  (void)h.finish();
+  EXPECT_EQ(sha256_block_count() - before, 2u);
+  (void)hmac_sha256(from_str("key"), from_str("msg"));
+  EXPECT_EQ(sha256_block_count() - before, 6u);
+}
+
 }  // namespace
 }  // namespace atum::crypto

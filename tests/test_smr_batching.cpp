@@ -1,7 +1,8 @@
 // Edge cases of PBFT request batching: deadline vs size-bound flushes, the
 // byte bound splitting a burst, view changes that strand a buffered batch,
 // an equivocating primary sending conflicting BATCHES, a batch repeating
-// one request, and state transfer
+// one request, a non-canonical ops region, the SHA-256 volume a batch
+// costs, and state transfer
 // of a batched exec history to a head-gap replica. The happy paths (order,
 // faults, checkpoints) live in test_smr_async.cpp; this file pins down the
 // seams batching added.
@@ -221,6 +222,93 @@ TEST(PbftBatching, RepeatedRequestInOneBatchDecidesOnce) {
     ASSERT_EQ(g.decided[n].size(), 1u) << "replica " << n;
     EXPECT_EQ(g.decided[n][0].first, 1u);
     EXPECT_EQ(g.decided[n][0].second, op_bytes("twice"));
+  }
+}
+
+// SHA-256 volume per executed batch: the primary hashes the ops region once
+// and the backups share one hash of the pre-prepare frame through its
+// digest memo. Each replica then folds the batch digest into its state
+// digest (two blocks) instead of re-hashing the batch's op bytes. A chain
+// that hashed each record's bytes at every replica would spend about 7
+// region hashes per batch here, far above the bound.
+TEST(PbftBatching, FullBatchesHashTheirOpsRegionTwicePerGroup) {
+  constexpr std::size_t kOps = 16, kOpBytes = 64, kBatches = 8;
+  BatchGroup g(4);
+  const std::size_t n = g.cfg.size();
+
+  ByteWriter region;
+  region.varint(kOps);
+  for (std::size_t i = 0; i < kOps; ++i) {
+    region.u64(0);
+    region.u64(i + 1);
+    region.bytes(Bytes(kOpBytes, 0));
+  }
+  std::uint64_t before = crypto::sha256_block_count();
+  (void)crypto::sha256(region.data());
+  const std::uint64_t region_blocks = crypto::sha256_block_count() - before;
+  ASSERT_EQ(region_blocks, 21u);  // 1297 bytes
+
+  before = crypto::sha256_block_count();
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    for (std::size_t i = 0; i < kOps; ++i) {
+      g.at(0).propose(Bytes(kOpBytes, static_cast<std::uint8_t>(b * kOps + i)));
+    }
+    g.run_for(millis(100));
+  }
+  const std::uint64_t blocks = crypto::sha256_block_count() - before;
+
+  for (NodeId r = 0; r < n; ++r) {
+    ASSERT_EQ(g.at(r).batches_executed(), kBatches) << "replica " << r;
+    ASSERT_EQ(g.decided[r].size(), kBatches * kOps) << "replica " << r;
+  }
+  EXPECT_LT(blocks, kBatches * (2 * region_blocks + 4 * n))
+      << blocks / kBatches << " blocks per batch";
+}
+
+// The batch digest stands in for the record digest of a batch that nulls no
+// op, which holds only for the canonical encoding. An ops region with an
+// overlong varint count decodes to the same batch but hashes differently,
+// so backups must drop the pre-prepare as malformed.
+TEST(PbftBatching, NonCanonicalOpsRegionIsRejected) {
+  PbftOptions opt;
+  opt.batch_flush_delay = seconds(3600);  // the real primary never flushes by itself
+  BatchGroup g(4, opt);
+  g.at(1).propose(op_bytes("once"));  // request (1, 1), pending at every replica
+  g.run_for(millis(100));
+
+  auto pre_prepare = [&](const Bytes& region) {
+    const crypto::Digest digest = crypto::sha256(region);
+    ByteWriter w;
+    w.u64(g.at(0).instance_tag());
+    w.u64(0);  // view
+    w.u64(1);  // seq
+    w.raw(digest.data(), digest.size());
+    w.bytes(region);
+    const net::Payload frame(w.take());
+    for (NodeId n = 0; n < 4; ++n) {
+      g.net.send(net::Message{0, n, net::MsgType::kPbftPrePrepare, frame});
+    }
+    g.run_for(seconds(1));
+  };
+  // The one op, after an op count spelled out in `count` bytes.
+  auto region = [](std::initializer_list<std::uint8_t> count) {
+    ByteWriter w;
+    for (std::uint8_t c : count) w.u8(c);
+    w.u64(1);  // origin
+    w.u64(1);  // origin seq
+    w.bytes(op_bytes("once"));
+    return w.take();
+  };
+  pre_prepare(region({0x81, 0x00}));  // count 1 as an overlong varint
+  for (NodeId n = 0; n < 4; ++n) {
+    EXPECT_EQ(g.at(n).batches_executed(), 0u) << "replica " << n;
+  }
+
+  pre_prepare(region({0x01}));
+  for (NodeId n = 0; n < 4; ++n) {
+    EXPECT_EQ(g.at(n).batches_executed(), 1u) << "replica " << n;
+    ASSERT_EQ(g.decided[n].size(), 1u) << "replica " << n;
+    EXPECT_EQ(g.decided[n][0].second, op_bytes("once"));
   }
 }
 

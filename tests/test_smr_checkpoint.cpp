@@ -5,6 +5,9 @@
 //    when every op is proposed from the previous op's decide callback;
 //  * records adopted through state transfer count as decided, exactly like
 //    executed ones;
+//  * a laggard that re-derives the record digests of a nulled-op batch and
+//    a view change's null filler from served bytes lands on the state
+//    digest the executing replicas folded from batch digests;
 //  * a laggard whose gap crosses the peers' truncation point installs the
 //    stable checkpoint and reports the skipped range through the install
 //    handler, then converges on the suffix;
@@ -19,8 +22,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/serde.h"
 #include "crypto/keys.h"
 #include "crypto/sha256.h"
 #include "net/network.h"
@@ -45,12 +50,15 @@ struct CkptGroup {
   // Runs after each decide is recorded (nullable).
   std::function<void(NodeId)> after_decide;
 
-  explicit CkptGroup(std::size_t g, PbftOptions opt) {
+  // `tweak` (nullable) adjusts one replica's options before it is built.
+  CkptGroup(std::size_t g, PbftOptions opt,
+            const std::function<void(NodeId, PbftOptions&)>& tweak = {}) {
     for (NodeId n = 0; n < g; ++n) cfg.members.push_back(n);
     for (NodeId n = 0; n < g; ++n) {
       metrics.push_back(std::make_unique<obs::Registry>());
       PbftOptions own = opt;
       own.metrics = metrics.back().get();
+      if (tweak) tweak(n, own);
       auto r = std::make_unique<PbftSmr>(net::Transport(net, n), cfg, keys, own,
                                          PbftFaultMode::kCorrect);
       r->set_decide_handler([this, n](std::uint64_t, NodeId origin, const net::Payload& op) {
@@ -66,6 +74,29 @@ struct CkptGroup {
     return metrics[i]->counter(name).value();
   }
   void run_for(DurationMicros d) { sim.run_until(sim.now() + d); }
+
+  // Delivers a pre-prepare from view 0's primary (replica 0) for `seq`,
+  // carrying `ops` as (origin, origin seq, op) in order, to `to`.
+  void forge_pre_prepare(std::uint64_t seq,
+                         const std::vector<std::tuple<NodeId, std::uint64_t, Bytes>>& ops,
+                         const std::vector<NodeId>& to) {
+    ByteWriter region;
+    region.varint(ops.size());
+    for (const auto& [origin, origin_seq, op] : ops) {
+      region.u64(origin);
+      region.u64(origin_seq);
+      region.bytes(op);
+    }
+    const crypto::Digest digest = crypto::sha256(region.data());
+    ByteWriter w;
+    w.u64(at(0).instance_tag());
+    w.u64(0);  // view
+    w.u64(seq);
+    w.raw(digest.data(), digest.size());
+    w.bytes(region.data());
+    const net::Payload frame(w.take());
+    for (NodeId n : to) net.send(net::Message{0, n, net::MsgType::kPbftPrePrepare, frame});
+  }
 };
 
 // The memory bound, asserted: 200 sequential ops with batch_max_ops=1 fill
@@ -212,6 +243,79 @@ TEST(PbftCheckpoint, ChainedProposalsDecideOnceAcrossBoundaries) {
   for (NodeId n = 0; n < 2; ++n) {
     EXPECT_EQ(g.at(n).batches_executed(), 51u) << "replica " << n;
     EXPECT_LE(g.at(n).history_size(), opt.watermark_window) << "replica " << n;
+  }
+}
+
+// The state digest chains record digests, and execution takes the batch
+// digest as the record digest only when the record IS the batch: no op
+// nulled, not a null filler. A laggard re-derives every record digest from
+// the served bytes, so it pins that rule. Replica 3 is cut off while the
+// group executes a batch repeating one request (seq 14) and then only
+// prepares seq 17 (seq 16 never pre-prepared). Healed, with replica 2
+// silent, it joins the view change that fills 16 with a null batch; the
+// new view commits 16.. with its help, but it cannot execute them behind
+// its gap and the group cannot stabilise 16 without its vote. The votes of
+// replicas 0 and 1 for boundary 24 send it to one voter for the range
+// (13, 24], which it adopts only because validate_chain re-folds it to
+// digests those two votes confirm: a single replier can never make the f+1
+// byte-identical replies of the fallback.
+TEST(PbftCheckpoint, LaggardReFoldsNulledAndFillerRecordsToTheGroupsDigest) {
+  PbftOptions opt;
+  opt.checkpoint_interval = 4;
+  opt.watermark_window = 16;
+  opt.batch_max_ops = 1;
+  opt.view_change_timeout = seconds(1);
+  // View 0's primary never flushes by itself, so the test assigns every
+  // view-0 seq; view 1's primary (replica 1) flushes each op at once.
+  CkptGroup g(4, opt, [](NodeId n, PbftOptions& o) {
+    if (n == 0) {
+      o.batch_max_ops = 64;
+      o.batch_flush_delay = seconds(3600);
+    }
+  });
+  std::uint64_t origin_seq = 0;
+  auto propose_and_assign = [&](std::uint64_t seq, int copies, const std::vector<NodeId>& to) {
+    const Bytes op = op_bytes("op" + std::to_string(origin_seq + 1));
+    g.at(1).propose(op);
+    ++origin_seq;
+    g.run_for(millis(50));
+    std::vector<std::tuple<NodeId, std::uint64_t, Bytes>> ops(
+        static_cast<std::size_t>(copies), {1, origin_seq, op});
+    g.forge_pre_prepare(seq, ops, to);
+    g.run_for(millis(200));
+  };
+
+  for (std::uint64_t seq = 1; seq <= 13; ++seq) propose_and_assign(seq, 1, {0, 1, 2, 3});
+  for (NodeId n = 0; n < 4; ++n) {
+    ASSERT_EQ(g.at(n).batches_executed(), 13u) << "replica " << n;
+    ASSERT_EQ(g.at(n).stable_seq(), 12u) << "replica " << n;
+  }
+
+  g.net.isolate(3, true);
+  propose_and_assign(14, 2, {0, 1, 2});  // the repeat executes as a null op
+  propose_and_assign(15, 1, {0, 1, 2});
+  propose_and_assign(17, 1, {0, 1, 2});  // prepared, stuck behind seq 16
+  ASSERT_EQ(g.at(0).batches_executed(), 15u);
+  ASSERT_EQ(g.decided[0].size(), 15u) << "seq 14 decides its op once";
+
+  g.net.isolate(3, false);
+  g.at(2).set_fault(PbftFaultMode::kSilent);
+  g.run_for(seconds(3));
+  for (NodeId n : {0u, 1u, 3u}) ASSERT_EQ(g.at(n).view(), 1u) << "replica " << n;
+  ASSERT_EQ(g.at(0).batches_executed(), 17u) << "null filler 16 and batch 17 executed";
+  ASSERT_EQ(g.at(3).batches_executed(), 13u) << "the laggard is stuck behind seq 14";
+  ASSERT_EQ(g.at(0).stable_seq(), 12u) << "16 cannot stabilise without the laggard";
+
+  for (int i = 0; i < 7; ++i) g.at(0).propose(op_bytes("tail" + std::to_string(i)));
+  g.run_for(seconds(3));
+
+  EXPECT_EQ(g.counter(3, "smr.checkpoint_installs"), 0u) << "caught up by records, not install";
+  EXPECT_EQ(g.decided[3], g.decided[0]);
+  EXPECT_EQ(g.decided[0].size(), 23u);
+  for (NodeId n : {0u, 1u, 3u}) {
+    EXPECT_EQ(g.at(n).batches_executed(), 24u) << "replica " << n;
+    EXPECT_EQ(g.at(n).stable_seq(), 24u) << "replica " << n;
+    EXPECT_EQ(g.at(n).state_digest(), g.at(0).state_digest()) << "replica " << n;
   }
 }
 

@@ -13,9 +13,13 @@
 //     lost, nothing is double-counted across state transfer;
 //   * bounded memory — the executed history (the pinned-frame set) never
 //     exceeds watermark_window at any replica, at any point we sample;
+//   * digest agreement — replicas of one instance that executed the same
+//     number of seqs hold the same state digest, however they got there
+//     (executed, adopted through state transfer, or installed);
 //   * chain agreement — under random membership churn (including joiners
 //     resumed mid-chain from an EpochState, the snapshot path), all active
-//     members end on the same epoch-hash chain head.
+//     members end on the same epoch-hash chain head, and every seed
+//     reconfigures at least once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,6 +69,18 @@ void expect_no_duplicates(const std::vector<std::string>& stream, const std::str
   for (const auto& op : stream) ++counts[op];
   for (const auto& [op, c] : counts) {
     EXPECT_EQ(c, 1) << what << ": op '" << op << "' decided " << c << " times";
+  }
+}
+
+// Replicas of one PBFT instance at the same execution point must hold the
+// same state digest.
+void expect_digest_agreement(const std::vector<const PbftSmr*>& replicas, int seed) {
+  std::map<std::uint64_t, const PbftSmr*> first_at;  // batches_executed -> replica
+  for (const PbftSmr* r : replicas) {
+    auto [it, fresh] = first_at.try_emplace(r->batches_executed(), r);
+    if (fresh) continue;
+    EXPECT_EQ(r->state_digest(), it->second->state_digest())
+        << "state digests differ at seq " << r->batches_executed() << " (seed " << seed << ")";
   }
 }
 
@@ -224,6 +240,9 @@ TEST_P(PbftRandomSchedule, InvariantsHoldAcrossChurnPartitionsAndCheckpoints) {
   }
 
   grp.check_window_bound(opt.watermark_window, "after settle");
+  std::vector<const PbftSmr*> engines;
+  for (NodeId n = 0; n < g; ++n) engines.push_back(&grp.at(n));
+  expect_digest_agreement(engines, GetParam());
   // The schedule really crossed checkpoint boundaries (acceptance floor).
   std::uint64_t best_stable = 0;
   for (NodeId n = 0; n < g; ++n) best_stable = std::max(best_stable, grp.at(n).stable_seq());
@@ -272,9 +291,15 @@ TEST_P(ReconfigRandomChurn, MembersAgreeOnChainHeadAndDecisions) {
 
   int proposed = 0;
   std::vector<NodeId> live = cfg.members;
-  for (int step = 0; step < 10; ++step) {
+  constexpr int kSteps = 10;
+  bool reconfigured = false;
+  for (int step = 0; step < kSteps; ++step) {
     NodeId anchor = live[0];
-    if (rng.chance(0.5) && live.size() < 6) {
+    // The coin is drawn every step (so schedules that reconfigure anyway
+    // stay as they were); the last step grows the group if none did.
+    const bool grow = rng.chance(0.5) || (step == kSteps - 1 && !reconfigured);
+    if (grow && live.size() < 6) {
+      reconfigured = true;
       // Grow: pick an outside pool id, hand it the anchor's chain position
       // (the simulated join snapshot), then propose the config admitting it.
       std::vector<NodeId> outside;
@@ -295,6 +320,7 @@ TEST_P(ReconfigRandomChurn, MembersAgreeOnChainHeadAndDecisions) {
       EpochState resume{nodes[anchor]->epoch(), nodes[anchor]->epoch_hash()};
       spawn(add, nodes[anchor]->config(), resume);
     } else if (live.size() > 4) {
+      reconfigured = true;
       // Shrink: retire a random member; a survivor proposes.
       std::size_t idx = rng.next_below(live.size());
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
@@ -323,6 +349,12 @@ TEST_P(ReconfigRandomChurn, MembersAgreeOnChainHeadAndDecisions) {
     EXPECT_EQ(nodes[n]->config().members, live) << "node " << n;
   }
   EXPECT_GE(nodes[anchor]->epoch(), 1u) << "schedule produced no reconfiguration";
+  std::vector<const PbftSmr*> engines;
+  for (NodeId n : live) {
+    if (const auto* e = dynamic_cast<const PbftSmr*>(nodes[n]->engine())) engines.push_back(e);
+  }
+  ASSERT_EQ(engines.size(), live.size());
+  expect_digest_agreement(engines, GetParam());
 
   // Every node reconfigured out (and not re-admitted) must have learned of
   // its removal: no zombies among non-members.
