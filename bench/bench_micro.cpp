@@ -12,7 +12,6 @@
 #include "net/network.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "overlay/gossip.h"
 #include "overlay/group_message.h"
 #include "overlay/hgraph.h"
 #include "overlay/random_walk.h"
@@ -231,8 +230,8 @@ static void BM_NetDispatch(benchmark::State& state) {
       net::MsgType::kPbftPrepare,     net::MsgType::kPbftCommit,
       net::MsgType::kPbftViewChange,  net::MsgType::kPbftNewView,
       net::MsgType::kPbftCheckpoint,  net::MsgType::kGroupMsgFull,
-      net::MsgType::kGroupMsgDigest,  net::MsgType::kGroupMsgEnvelope,
-      net::MsgType::kHeartbeat,       net::MsgType::kJoinRequest,
+      net::MsgType::kGroupMsgDigest,  net::MsgType::kHeartbeat,
+      net::MsgType::kJoinRequest,     net::MsgType::kJoinReply,
   };
   sim::Simulator sim;
   net::SimNetwork net(sim, net::NetworkConfig::datacenter());
@@ -290,37 +289,6 @@ static void BM_PbftBatchDecide(benchmark::State& state) {
                           static_cast<int64_t>(kOps));
 }
 BENCHMARK(BM_PbftBatchDecide)->Arg(1)->Arg(4)->Arg(16);
-
-// Coalesced group-message fan-out: N same-tick frames to one destination
-// leave as one envelope instead of N messages. Wall-clock cost of the
-// enqueue + flush + decode round trip against the uncoalesced send loop.
-static void BM_GossipCoalescedSend(benchmark::State& state) {
-  const auto frames = static_cast<std::size_t>(state.range(0));
-  sim::Simulator sim;
-  net::SimNetwork net(sim, net::NetworkConfig::datacenter(), 0x5417);
-  Rng rng(9);
-  std::uint64_t delivered = 0;
-  net.attach(1, [&delivered](const net::Message&) { ++delivered; });
-  overlay::SendCoalescer coalescer(net::Transport(net, 0), rng);
-  std::vector<net::Payload> payloads;
-  for (std::size_t i = 0; i < frames; ++i) {
-    ByteWriter w;
-    w.u64(i);  // GroupMessageId-shaped prefix keeps frames distinct
-    w.u64(0);
-    w.bytes(Bytes(256, static_cast<std::uint8_t>(i)));
-    payloads.emplace_back(w.take());
-  }
-  for (auto _ : state) {
-    for (const net::Payload& p : payloads) {
-      coalescer.enqueue(1, net::MsgType::kGroupMsgFull, p);
-    }
-    sim.run();
-  }
-  benchmark::DoNotOptimize(delivered);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(frames));
-}
-BENCHMARK(BM_GossipCoalescedSend)->Arg(1)->Arg(8)->Arg(32);
 
 // Observability cells (ISSUE 9). The instrumentation contract is "near
 // zero when idle": a cached Counter* bump is one relaxed fetch_add, a

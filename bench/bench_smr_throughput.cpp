@@ -10,8 +10,7 @@
 //   soak — the `soak` scenario preset's parameters (kAsync vgroups,
 //          H-graph, gossip, 5 s heartbeats), default 1500 nodes for CI (--soak-nodes 10000 for the
 //          full-size run): a burst of broadcasts from scattered origins,
-//          measured as broadcast deliveries per simulated second, plus the
-//          fraction of group-message sends the coalescer saved.
+//          measured as broadcast deliveries per simulated second.
 //
 // Output: machine-readable JSON on stdout (the committed baseline lives in
 // BENCH_smr_throughput.json; the CI trend check diffs against it), human
@@ -129,7 +128,7 @@ double pbft_drain_ops_per_sec(std::size_t n, std::size_t batch_max_ops) {
 }
 
 // Soak-profile throughput: broadcast deliveries per simulated second at
-// node scale, plus the coalescer's message savings.
+// node scale.
 void soak_phase(std::size_t target_nodes) {
   core::Params p;
   p.hc = 3;
@@ -149,11 +148,9 @@ void soak_phase(std::size_t target_nodes) {
   for (NodeId i : ids) sys.node(i).set_forward(overlay::forward_cycles({0}));
 
   // Burst load: a few scattered origins each broadcast several messages at
-  // once. The origin vgroup's SMR batches each burst into one frame, so
-  // the burst's gossip relays co-travel — and keep co-travelling hop after
-  // hop, because an arriving envelope is decoded, vouched, delivered, and
-  // re-relayed within one event, which re-coalesces the frames for the
-  // next hop. This is the load shape batching + coalescing target.
+  // once. The origin vgroup's SMR batches each burst into one pre-prepare,
+  // so the burst's first relays leave in the same instant. This is the
+  // load shape SMR batching targets.
   constexpr std::size_t kOrigins = 5;
   constexpr std::size_t kPerOrigin = 8;
   constexpr std::size_t kBroadcasts = kOrigins * kPerOrigin;
@@ -178,20 +175,9 @@ void soak_phase(std::size_t target_nodes) {
   g_ok &= check(delivered_total == want, "soak: every broadcast delivered everywhere");
   const double elapsed = to_seconds((done_at > t0 ? done_at : sys.simulator().now()) - t0);
   const double deliveries_per_sec = static_cast<double>(delivered_total) / elapsed;
-
-  std::uint64_t enq = 0, saved = 0;
-  for (NodeId i : ids) {
-    enq += sys.node(i).coalescer().frames_enqueued();
-    saved += sys.node(i).coalescer().messages_saved();
-  }
-  const double saved_frac = enq == 0 ? 0.0 : static_cast<double>(saved) / static_cast<double>(enq);
-  std::fprintf(stderr,
-               "soak n=%zu: %" PRIu64 " deliveries in %5.1f sim-s (%9.1f /s), "
-               "coalescer saved %" PRIu64 "/%" PRIu64 " sends (%.1f%%)\n",
-               target_nodes, delivered_total, elapsed, deliveries_per_sec, saved, enq,
-               100.0 * saved_frac);
+  std::fprintf(stderr, "soak n=%zu: %" PRIu64 " deliveries in %5.1f sim-s (%9.1f /s)\n",
+               target_nodes, delivered_total, elapsed, deliveries_per_sec);
   record("soak_deliveries_per_sec", deliveries_per_sec);
-  record("soak_coalescer_saved_frac", saved_frac);
 }
 
 }  // namespace

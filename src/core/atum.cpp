@@ -67,22 +67,18 @@ AtumSystem::AtumSystem(Params params, net::NetworkConfig net_config, std::uint64
     for (const auto& [id, node] : nodes_) n += node->delivered_count();
     return n;
   });
+  // Legacy names, kept because perfbench reads them: frames addressed by
+  // group-message fan-outs, and frames sent after de-duplication.
   registry_.probe("atum.coalescer.frames_enqueued", {}, [this] {
     std::uint64_t n = 0;
     // lint: unordered-iter-ok(sum; order-independent)
-    for (const auto& [id, node] : nodes_) n += node->coalescer().frames_enqueued();
+    for (const auto& [id, node] : nodes_) n += node->group_frames_addressed();
     return n;
   });
   registry_.probe("atum.coalescer.messages_sent", {}, [this] {
     std::uint64_t n = 0;
     // lint: unordered-iter-ok(sum; order-independent)
-    for (const auto& [id, node] : nodes_) n += node->coalescer().messages_sent();
-    return n;
-  });
-  registry_.probe("atum.coalescer.envelopes_sent", {}, [this] {
-    std::uint64_t n = 0;
-    // lint: unordered-iter-ok(sum; order-independent)
-    for (const auto& [id, node] : nodes_) n += node->coalescer().envelopes_sent();
+    for (const auto& [id, node] : nodes_) n += node->group_frames_sent();
     return n;
   });
   registry_.probe("atum.groups", {},
@@ -197,9 +193,7 @@ AtumNode::AtumNode(AtumSystem& system, NodeId id, NodeBehavior behavior)
       behavior_(behavior),
       transport_(system.network(), id),
       rng_(system.rng().next_u64() ^ id),
-      coalescer_(transport_, rng_),
       gossip_(overlay::forward_flood()) {
-  coalescer_.set_tracer(&system.tracer());
   transport_.listen({net::MsgType::kJoinRequest, net::MsgType::kJoinReply,
                      net::MsgType::kHeartbeat},
                     [this](const net::Message& m) { on_direct(m); });
@@ -208,7 +202,11 @@ AtumNode::AtumNode(AtumSystem& system, NodeId id, NodeBehavior behavior)
 AtumNode::~AtumNode() { stop(); }
 
 void AtumNode::stop() {
-  coalescer_.discard();
+  if (fanout_event_ != 0) {
+    sys_.simulator().cancel(fanout_event_);
+    fanout_event_ = 0;
+  }
+  fanouts_.clear();
   heartbeat_timer_.reset();
   if (smr_) smr_->stop();
   smr_.reset();
@@ -482,7 +480,7 @@ std::optional<overlay::PreparedGroupMessage> AtumNode::prepare_group_payload(
 
 void AtumNode::send_group_payload(const group::GroupView& dest, const net::Payload& payload) {
   auto msg = prepare_group_payload(payload);
-  if (msg) msg->send_to(coalescer_, dest.members);
+  if (msg) park_fanout(std::move(*msg), dest.members);
 }
 
 void AtumNode::send_neighbor_updates() {
@@ -493,10 +491,38 @@ void AtumNode::send_neighbor_updates() {
   // Encode + freeze once; every neighbor group shares the same frame.
   auto msg = prepare_group_payload(w.take());
   if (!msg) return;
+  std::vector<NodeId> dests;
   for (const group::GroupView& g : vg_.known_groups()) {
     if (g.id == vg_.id()) continue;
-    msg->send_to(coalescer_, g.members);
+    dests.insert(dests.end(), g.members.begin(), g.members.end());
   }
+  park_fanout(std::move(*msg), std::move(dests));
+}
+
+void AtumNode::park_fanout(overlay::PreparedGroupMessage msg, std::vector<NodeId> dests) {
+  group_frames_addressed_ += dests.size();
+  std::sort(dests.begin(), dests.end());
+  dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
+  if (dests.empty()) return;
+  fanouts_.push_back(Fanout{std::move(msg), std::move(dests)});
+  // Sending at the end of the instant instead of inline lets the direct
+  // messages this instant produces (PBFT votes, join replies) take the
+  // sender's egress ahead of the group-message frames; sending inline
+  // measurably raised churn join latency. schedule_after(0) fires after
+  // every event already scheduled for the current instant.
+  if (fanout_event_ == 0) {
+    fanout_event_ = sys_.simulator().schedule_after(0, [this] { send_fanouts(); });
+  }
+}
+
+void AtumNode::send_fanouts() {
+  fanout_event_ = 0;
+  // One §5.1 shuffle per fan-out; sends never re-enter park_fanout.
+  for (const Fanout& f : fanouts_) {
+    f.msg.send_to(transport_, f.dests, rng_);
+    group_frames_sent_ += f.dests.size();
+  }
+  fanouts_.clear();
 }
 
 void AtumNode::on_group_message(const overlay::GroupMessageId& gm_id, NodeId,
@@ -558,22 +584,19 @@ void AtumNode::relay_gossip(const BroadcastId& id, const net::Payload& payload,
   // member within it shares the same frozen buffer.
   auto msg = prepare_group_payload(frame);
   if (!msg) return;
-  // Overlapping neighbor member sets (several neighbor groups can contain
-  // the same physical node) and multiple broadcasts decided in one tick
-  // all coalesce per destination here.
-  std::size_t fanned = 0;
+  // One fan-out to the union of the chosen groups' members: a physical
+  // node in several neighbor groups gets the frame once.
+  std::vector<NodeId> dests;
   for (const overlay::NeighborRef& ref : relays) {
     auto view = vg_.find_group(ref.group);
-    if (view) {
-      msg->send_to(coalescer_, view->members);
-      fanned += view->members.size();
-    }
+    if (view) dests.insert(dests.end(), view->members.begin(), view->members.end());
   }
   obs::Tracer& tr = sys_.tracer();
-  if (tr.enabled() && fanned > 0) {
+  if (tr.enabled() && !dests.empty()) {
     tr.record(sys_.simulator().now(), id_, obs::TracePoint::kRelay,
-              crypto::digest_prefix64(frame.digest()), fanned, relays.size());
+              crypto::digest_prefix64(frame.digest()), dests.size(), relays.size());
   }
+  park_fanout(std::move(*msg), std::move(dests));
 }
 
 // ===========================================================================

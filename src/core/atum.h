@@ -173,9 +173,11 @@ class AtumNode {
   const group::VGroupState& vgroup() const { return vg_; }
   std::uint64_t delivered_count() const { return delivered_; }
   std::uint64_t smr_epoch() const { return smr_ ? smr_->epoch() : 0; }
-  // Send-coalescing stats (benchmarks: how many per-message fixed costs
-  // the envelope path saved at this node).
-  const overlay::SendCoalescer& coalescer() const { return coalescer_; }
+  // Group-message fan-out stats: destinations addressed (a node reached
+  // through several neighbor groups counts once per group) and frames
+  // actually sent after the per-fan-out de-duplication.
+  std::uint64_t group_frames_addressed() const { return group_frames_addressed_; }
+  std::uint64_t group_frames_sent() const { return group_frames_sent_; }
 
   // Used by AtumSystem::deploy and by a vgroup admitting this node.
   void start_with_state(group::VGroupState state);
@@ -212,6 +214,12 @@ class AtumNode {
   std::optional<overlay::PreparedGroupMessage> prepare_group_payload(
       const net::Payload& payload) const;
   void send_group_payload(const group::GroupView& dest, const net::Payload& payload);
+  // Parks one fan-out of `msg` to the union `dests` (sorted and
+  // de-duplicated here, so a node in several destination groups gets the
+  // frame once) until the end of the current instant.
+  void park_fanout(overlay::PreparedGroupMessage msg, std::vector<NodeId> dests);
+  // The end-of-instant event: sends every parked fan-out.
+  void send_fanouts();
   void send_neighbor_updates();
   void heartbeat_tick();
   void evaluate_suspicions();
@@ -229,9 +237,17 @@ class AtumNode {
   NodeBehavior behavior_;
   net::Transport transport_;
   Rng rng_;
-  // All group-message fan-outs route through here: frames bound for the
-  // same physical destination within one tick leave as one envelope.
-  overlay::SendCoalescer coalescer_;
+  // Group-message fan-outs parked until the end of the instant, and the
+  // schedule_after(0) event that sends them (0 = none pending).
+  struct Fanout {
+    overlay::PreparedGroupMessage msg;
+    std::vector<NodeId> dests;
+  };
+  std::vector<Fanout> fanouts_;
+  sim::EventId fanout_event_ = 0;
+  // Fan-out stats; AtumSystem's registry probes sum them over nodes.
+  std::uint64_t group_frames_addressed_ = 0;
+  std::uint64_t group_frames_sent_ = 0;
 
   group::VGroupState vg_;
   std::unique_ptr<smr::ReconfigurableSmr> smr_;

@@ -35,7 +35,6 @@ enum class MsgType : std::uint16_t {
   // Overlay layer
   kGroupMsgFull = 0x0300,     // full copy of a group message
   kGroupMsgDigest = 0x0301,   // digest-only copy (§5.1 optimization)
-  kGroupMsgEnvelope = 0x0302, // several full/digest frames coalesced per tick
   // Group / core layer
   kHeartbeat = 0x0400,
   kJoinRequest = 0x0401,
@@ -50,7 +49,7 @@ enum class MsgType : std::uint16_t {
 };
 
 // Number of MsgType enumerators: the size of a per-node dispatch table.
-inline constexpr std::size_t kMsgTypeSlots = 23;
+inline constexpr std::size_t kMsgTypeSlots = 22;
 
 // Dense dispatch slot of a MsgType, in [0, kMsgTypeSlots). Exhaustive and
 // without a default, so -Wswitch (an error under -Werror) rejects a new
@@ -71,16 +70,15 @@ constexpr std::size_t msg_type_slot(MsgType type) {
     case MsgType::kSmrRemovalNotice: return 10;
     case MsgType::kGroupMsgFull: return 11;
     case MsgType::kGroupMsgDigest: return 12;
-    case MsgType::kGroupMsgEnvelope: return 13;
-    case MsgType::kHeartbeat: return 14;
-    case MsgType::kJoinRequest: return 15;
-    case MsgType::kJoinReply: return 16;
-    case MsgType::kAppData: return 17;
-    case MsgType::kChunkRequest: return 18;
-    case MsgType::kChunkReply: return 19;
-    case MsgType::kStreamPush: return 20;
-    case MsgType::kStreamPull: return 21;
-    case MsgType::kStreamChunk: return 22;
+    case MsgType::kHeartbeat: return 13;
+    case MsgType::kJoinRequest: return 14;
+    case MsgType::kJoinReply: return 15;
+    case MsgType::kAppData: return 16;
+    case MsgType::kChunkRequest: return 17;
+    case MsgType::kChunkReply: return 18;
+    case MsgType::kStreamPush: return 19;
+    case MsgType::kStreamPull: return 20;
+    case MsgType::kStreamChunk: return 21;
   }
   return kMsgTypeSlots;
 }
@@ -155,10 +153,10 @@ class Payload {
 
   // How many (offset, size) ranges the per-frame digest memo retains. Four
   // covers the protocols here with headroom: a batched SMR pre-prepare
-  // hashes the whole ops region plus per-op sub-ranges, and a coalesced
-  // gossip envelope carries several group-message bodies that each get
-  // vouch-hashed — without one range's digest evicting the next before its
-  // reuse (the PR-3 single-slot memo thrashed under exactly that pattern).
+  // hashes the whole ops region plus per-op sub-ranges, and a relayed
+  // gossip frame is hashed both as the received body and as the relay's
+  // payload — without one range's digest evicting the next before its
+  // reuse (a single-slot memo thrashed under exactly that pattern).
   static constexpr std::size_t kDigestMemoSlots = 4;
 
   // SHA-256 of the viewed bytes, computed at most once per (frame, range)

@@ -12,7 +12,6 @@ namespace atum::obs {
 const char* trace_point_name(TracePoint p) {
   switch (p) {
     case TracePoint::kSend: return "send";
-    case TracePoint::kCoalesce: return "coalesce";
     case TracePoint::kRelay: return "relay";
     case TracePoint::kVouch: return "vouch";
     case TracePoint::kDeliver: return "deliver";

@@ -5,7 +5,7 @@
 // encoding IS the kGmGossip frame body relayed at every hop (static
 // assert in core/atum.cpp), and prepare_group_payload derives
 // GroupMessageId.seq = digest_prefix64(frame digest) — so
-//   send → coalesce → relay → vouch → deliver
+//   send → relay → vouch → deliver
 // all record digest_prefix64(sha256(frame)) and one key joins the full
 // relay path across nodes. The SMR pipeline (propose → pre-prepare →
 // prepare → commit → decide) keys on op/batch digests, a separate
@@ -35,7 +35,6 @@ namespace atum::obs {
 enum class TracePoint : std::uint8_t {
   // Broadcast lifecycle (group-message keyspace).
   kSend = 0,      // origin proposes the broadcast op
-  kCoalesce,      // frame absorbed into a same-tick envelope
   kRelay,         // node forwards the frame to gossip successors
   kVouch,         // digest-only copy confirmed by majority vouches
   kDeliver,       // app-level delivery

@@ -11,22 +11,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/serde.h"
 #include "common/types.h"
 #include "net/message.h"
-#include "net/network.h"
-#include "sim/simulator.h"
-
-namespace atum::obs {
-class Tracer;
-}  // namespace atum::obs
 
 namespace atum::overlay {
 
@@ -54,91 +45,6 @@ ForwardFn forward_cycles(std::set<std::size_t> cycles);
 ForwardFn forward_random(double p, std::uint64_t seed);
 // Never relay (the unwise choice §3.3.4 warns about; used in tests).
 ForwardFn forward_none();
-
-// Per-node send coalescing for group-message frames (perf, riding on the
-// simulator's event granularity). A gossip relay fans one broadcast out to
-// several neighbor vgroups whose member sets overlap the same physical
-// destinations, and one tick can decide several broadcasts; without
-// coalescing each (frame, destination) pair is its own transport message
-// and pays the fixed per-message costs (Message::kHeaderOverhead on the
-// wire, per_message_cpu at the receiver). enqueue() instead parks frames
-// per destination and a tick-end flush sends everything bound for one node
-// as a single kGroupMsgEnvelope message — the fixed costs amortize across
-// the coalesced frames exactly as the SMR batch amortizes quorum cost
-// across ops.
-//
-// Determinism: the flush runs via schedule_after(0), which the simulator
-// fires after every event already scheduled for the current instant, so
-// the envelope contents depend only on what the tick produced, never on
-// wall-clock interleaving. Destination flush order is randomized through
-// the caller's seeded Rng — §5.1's randomized send order applied at the
-// granularity that still matters once each destination gets at most one
-// message per tick (desynchronizing which destination's envelope leaves
-// the egress queue first across senders).
-//
-// Envelope wire format: varint frame_count, then per frame
-// u16 inner_type (kGroupMsgFull | kGroupMsgDigest), bytes frame. The
-// receiver decodes each inner frame as a zero-copy slice of the envelope
-// payload (the widened Payload digest memo keeps the per-frame vouch
-// digests of one envelope cached side by side).
-class SendCoalescer {
- public:
-  // Ceiling on frames per envelope: bounds decode cost per message and
-  // keeps a single faulty tick from minting an arbitrarily large frame.
-  static constexpr std::size_t kMaxFramesPerEnvelope = 32;
-
-  // The Rng must outlive the coalescer (AtumNode passes its per-node rng).
-  SendCoalescer(net::Transport transport, Rng& rng);
-  ~SendCoalescer();
-  SendCoalescer(const SendCoalescer&) = delete;
-  SendCoalescer& operator=(const SendCoalescer&) = delete;
-
-  // Queues a group-message frame for `dest`; `type` must be kGroupMsgFull
-  // or kGroupMsgDigest. All frames queued for one destination within the
-  // current simulator tick leave as one message. Enqueueing the same
-  // frozen frame for the same destination twice (a relay whose neighbor
-  // groups overlap) is suppressed: the receiver dedups vouches per sender,
-  // so the duplicate could never contribute anything.
-  void enqueue(NodeId dest, net::MsgType type, net::Payload frame);
-
-  // Sends everything queued now (normally runs automatically at tick end;
-  // exposed for tests and explicit drains).
-  void flush();
-  // Drops everything queued without sending and cancels the pending flush
-  // (node shutdown).
-  void discard();
-
-  // --- stats (benchmarks / tests) ---
-  std::uint64_t frames_enqueued() const { return frames_enqueued_; }
-  // Transport messages actually sent (singles + envelopes).
-  std::uint64_t messages_sent() const { return messages_sent_; }
-  // Multi-frame envelopes among them.
-  std::uint64_t envelopes_sent() const { return envelopes_sent_; }
-  // Per-message fixed costs avoided: frames that shared an envelope or
-  // were suppressed as duplicates instead of travelling alone.
-  std::uint64_t messages_saved() const { return frames_enqueued_ - messages_sent_; }
-  // Frames currently parked awaiting the tick-end flush.
-  std::size_t queued() const;
-
-  // Message-lifecycle tracing: frames that leave inside a multi-frame
-  // envelope record a kCoalesce event keyed by the frame's group-message
-  // seq (= the broadcast's digest prefix — see obs/trace.h). Null tracer
-  // or a disabled one costs a single branch at flush.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
- private:
-  net::Transport transport_;
-  Rng& rng_;
-  // Keyed map so flush sees a deterministic destination set; the actual
-  // send order is then shuffled through rng_ (seeded, reproducible).
-  std::map<NodeId, std::vector<std::pair<net::MsgType, net::Payload>>> queue_;
-  sim::EventId flush_event_ = 0;
-  obs::Tracer* tracer_ = nullptr;
-  // lint: adhoc-counter-ok(pre-registry stats; summed onto the registry by AtumSystem probes)
-  std::uint64_t frames_enqueued_ = 0;
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t envelopes_sent_ = 0;
-};
 
 // Per-vgroup-member dedup and relay bookkeeping for broadcasts. Pure logic:
 // the group/core layer feeds accepted group messages in and sends the

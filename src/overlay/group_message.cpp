@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.h"
-#include "overlay/gossip.h"
 
 namespace atum::overlay {
 
@@ -53,13 +52,6 @@ void PreparedGroupMessage::send_to(net::Transport& transport,
   }
 }
 
-void PreparedGroupMessage::send_to(SendCoalescer& coalescer,
-                                   const std::vector<NodeId>& destination) const {
-  for (NodeId d : destination) {
-    coalescer.enqueue(d, type_, wire_);
-  }
-}
-
 void send_group_message(net::Transport& transport, const std::vector<NodeId>& senders,
                         GroupMessageId id, const std::vector<NodeId>& destination,
                         const net::Payload& payload, Rng& rng) {
@@ -68,8 +60,7 @@ void send_group_message(net::Transport& transport, const std::vector<NodeId>& se
 
 GroupMessageReceiver::GroupMessageReceiver(net::Transport transport, DeliverFn deliver)
     : transport_(std::move(transport)), deliver_(std::move(deliver)) {
-  transport_.listen({net::MsgType::kGroupMsgFull, net::MsgType::kGroupMsgDigest,
-                     net::MsgType::kGroupMsgEnvelope},
+  transport_.listen({net::MsgType::kGroupMsgFull, net::MsgType::kGroupMsgDigest},
                     [this](const net::Message& m) { on_message(m); });
 }
 
@@ -129,43 +120,12 @@ void GroupMessageReceiver::on_message(const net::Message& msg) {
   gc_tombstones();
   maybe_rotate_delivered();
 
-  if (msg.type == net::MsgType::kGroupMsgEnvelope) {
-    // Coalesced envelope: decode it fully before processing any inner
-    // frame — a malformed tail means the sender is faulty and the whole
-    // envelope is suspect. Inner frames are zero-copy slices of the
-    // envelope payload; only full and digest frames may nest (envelopes
-    // do not recurse).
-    std::vector<std::pair<bool, net::Payload>> frames;
-    try {
-      ByteReader r(msg.payload);
-      std::uint64_t count = r.varint();
-      if (count == 0 || count > SendCoalescer::kMaxFramesPerEnvelope) return;
-      frames.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        auto inner = static_cast<net::MsgType>(r.u16());
-        if (inner != net::MsgType::kGroupMsgFull && inner != net::MsgType::kGroupMsgDigest) {
-          return;
-        }
-        frames.emplace_back(inner == net::MsgType::kGroupMsgFull,
-                            msg.payload.slice(r.bytes_view()));
-      }
-      r.expect_done();
-    } catch (const SerdeError&) {
-      return;  // malformed: faulty sender
-    }
-    for (const auto& [is_full, frame] : frames) on_frame(msg.from, is_full, frame);
-    return;
-  }
-
-  on_frame(msg.from, msg.type == net::MsgType::kGroupMsgFull, msg.payload);
-}
-
-void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payload& wire) {
+  const bool is_full = msg.type == net::MsgType::kGroupMsgFull;
   GroupMessageId id;
   crypto::Digest digest;
   net::Payload payload;
   try {
-    ByteReader r(wire);
+    ByteReader r(msg.payload);
     id.from_group = r.u64();
     id.seq = r.u64();
     if (is_full) {
@@ -173,7 +133,7 @@ void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payloa
       // The vouch digest is memoized on that frame's control block, so a
       // frame fanned out to many receivers is hashed once system-wide and
       // a node relaying it onward reuses the digest too.
-      payload = wire.slice(r.bytes_view());
+      payload = msg.payload.slice(r.bytes_view());
       digest = payload.digest();
     } else {
       r.raw(digest.data(), digest.size());
@@ -183,6 +143,7 @@ void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payloa
     return;  // malformed: faulty sender
   }
 
+  const NodeId from = msg.from;
   if (membership_ && !membership_(id.from_group, from)) return;
 
   auto [it, fresh] = entries_.try_emplace(id);

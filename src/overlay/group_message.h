@@ -37,8 +37,6 @@ class Tracer;
 
 namespace atum::overlay {
 
-class SendCoalescer;  // gossip.h
-
 struct GroupMessageId {
   GroupId from_group = kInvalidGroup;
   std::uint64_t seq = 0;
@@ -72,13 +70,6 @@ class PreparedGroupMessage {
   // avoid the synchronized bursts that cause incast throughput collapse).
   void send_to(net::Transport& transport, const std::vector<NodeId>& destination,
                Rng& rng) const;
-
-  // Same fan-out routed through the per-node SendCoalescer: this frame and
-  // every other frame bound for the same destination in the current tick
-  // leave as one envelope. No per-member shuffle here — coalescing caps
-  // the sender at one message per (destination, tick) and the coalescer
-  // randomizes the destination order at flush.
-  void send_to(SendCoalescer& coalescer, const std::vector<NodeId>& destination) const;
 
  private:
   net::Payload wire_;
@@ -171,10 +162,6 @@ class GroupMessageReceiver {
   };
 
   void on_message(const net::Message& msg);
-  // One group-message frame: either a whole kGroupMsgFull/kGroupMsgDigest
-  // message body or one inner frame of a coalesced envelope (`wire` is a
-  // zero-copy slice of the envelope in that case).
-  void on_frame(NodeId from, bool is_full, const net::Payload& wire);
   void try_deliver(const GroupMessageId& id, Entry& e);
   void gc_tombstones();
   // Advances the generation every 8 TTLs and erases delivered entries two

@@ -642,14 +642,20 @@ std::vector<std::string> ScenarioDriver::check(const ScenarioSpec& spec,
   }
   // (c) The per-frame digest cache is active: hashes track frames, not
   // messages (without it every full-frame delivery hashes at the receiver).
+  // With the Payload::digest() memo every preset reads at most 0.024
+  // digests per message (soak at 100 nodes; the others stay under 0.02
+  // from 90 to 2000 nodes). Without it soak reads 0.067 at 20000 nodes and
+  // 0.075 at 1500, and the broadcast-heavy presets about 0.6. One digest
+  // per 25 messages splits the two populations.
   // With signature verification on, HMACs (two digests each) swamp the
   // count, so the ratio says nothing about the cache.
+  constexpr std::uint64_t kMinMsgsPerDigest = 25;
   if (!spec.params.verify_signatures &&
-      report.total_sha256_digests * 2 > report.total_msgs_sent) {
+      report.total_sha256_digests * kMinMsgsPerDigest > report.total_msgs_sent) {
     std::snprintf(buf, sizeof buf,
-                  "%" PRIu64 " SHA-256 digests > half of %" PRIu64
+                  "%" PRIu64 " SHA-256 digests > 1/%" PRIu64 " of %" PRIu64
                   " messages (per-frame digest cache inactive)",
-                  report.total_sha256_digests, report.total_msgs_sent);
+                  report.total_sha256_digests, kMinMsgsPerDigest, report.total_msgs_sent);
     add(buf);
   }
   return violations;

@@ -185,6 +185,79 @@ TEST_F(CoreFixture, FanOutMaterializesFewBuffersAcrossNodes) {
   EXPECT_LT(buffers.size(), total);
 }
 
+TEST_F(CoreFixture, RelayIntoOverlappingNeighborGroupsSendsOneFramePerDestination) {
+  // Two vgroups are each other's successor and predecessor on every cycle,
+  // so a relay names every member of the other group once per cycle (hc
+  // times). Each physical destination must still get exactly one frame.
+  deploy(10);
+  const auto groups = sys->group_map();
+  ASSERT_EQ(groups.size(), 2u);
+  const std::vector<NodeId>& origin_group = groups.begin()->second;
+  const GroupId other_id = std::next(groups.begin())->first;
+  const std::vector<NodeId>& other_group = std::next(groups.begin())->second;
+  const auto refs = sys->node(origin_group.front()).vgroup().neighbor_refs();
+  ASSERT_EQ(refs.size(), fast_params().hc);
+  for (const auto& ref : refs) ASSERT_EQ(ref.group, other_id);
+
+  // The other group's members only count the frames they receive.
+  std::map<std::pair<NodeId, NodeId>, int> frames;  // (sender, receiver) -> frames
+  for (NodeId n : other_group) {
+    for (net::MsgType type : {net::MsgType::kGroupMsgFull, net::MsgType::kGroupMsgDigest}) {
+      sys->network().attach(n, type,
+                            [&frames](const net::Message& m) { ++frames[{m.from, m.to}]; });
+    }
+  }
+  sys->node(origin_group.front()).broadcast(msg("overlap"));
+  run_for(seconds(20));
+  EXPECT_EQ(frames.size(), origin_group.size() * other_group.size());
+  for (const auto& [link, count] : frames) {
+    EXPECT_EQ(count, 1) << link.first << " -> " << link.second;
+  }
+}
+
+TEST(CoreFanout, GroupFramesLeaveAfterTheSameInstantsDirectSends) {
+  // Zero jitter and free ingress: a sender's messages arrive in the order
+  // they took its egress, spaced by their serialization times.
+  net::NetworkConfig cfg = net::NetworkConfig::datacenter();
+  cfg.jitter_mean = 0;
+  cfg.ingress_bytes_per_sec = 1e15;
+  cfg.per_message_cpu = 0;
+  AtumSystem sys(fast_params(smr::EngineKind::kAsync), cfg, 31);
+  std::vector<NodeId> ids;
+  for (NodeId i = 0; i < 16; ++i) ids.push_back(i);
+  for (NodeId i : ids) sys.add_node(i);
+  sys.deploy(ids);
+
+  // An observer outside the system timestamps node 0's direct messages.
+  constexpr NodeId kObserver = 1000;
+  std::vector<TimeMicros> arrivals;
+  sys.network().attach(kObserver, [&](const net::Message& m) {
+    if (m.from == 0) arrivals.push_back(sys.simulator().now());
+  });
+  // Node 0 sends one direct message from inside each delivery callback,
+  // which runs just before that broadcast's relay fan-out.
+  net::Transport direct(sys.network(), 0);
+  std::vector<TimeMicros> sent_at;
+  sys.node(0).set_deliver([&](NodeId, const net::Payload&) {
+    sent_at.push_back(sys.simulator().now());
+    direct.send(kObserver, net::MsgType::kAppData, Bytes{1});
+  });
+  // Two broadcasts proposed in one instant share one PBFT batch, so node 0
+  // delivers both, and relays the first, within one event.
+  sys.node(0).broadcast(Bytes(4096, 0xA1));
+  sys.node(0).broadcast(Bytes(4096, 0xA2));
+  sys.simulator().run_until(seconds(20));
+  ASSERT_EQ(sent_at.size(), 2u);
+  ASSERT_EQ(sent_at[0], sent_at[1]);
+  ASSERT_EQ(arrivals.size(), 2u);
+  // The second direct message left right behind the first: the first
+  // broadcast's relay frames did not take the egress in between.
+  const auto direct_egress = static_cast<DurationMicros>(
+      static_cast<double>(1 + net::Message::kHeaderOverhead) / cfg.egress_bytes_per_sec *
+      kMicrosPerSecond);
+  EXPECT_EQ(arrivals[1] - arrivals[0], direct_egress);
+}
+
 TEST_F(CoreFixture, ManyBroadcastersAllDeliver) {
   deploy(18);
   for (NodeId n = 0; n < 6; ++n) sys->node(n).broadcast(msg("m" + std::to_string(n)));

@@ -246,10 +246,10 @@ TEST(MsgTypeSlot, EveryEnumeratorMapsToADistinctSlot) {
       MsgType::kPbftPrepare,     MsgType::kPbftCommit,       MsgType::kPbftViewChange,
       MsgType::kPbftNewView,     MsgType::kPbftCheckpoint,   MsgType::kPbftStateFetch,
       MsgType::kPbftStateReply,  MsgType::kSmrRemovalNotice, MsgType::kGroupMsgFull,
-      MsgType::kGroupMsgDigest,  MsgType::kGroupMsgEnvelope, MsgType::kHeartbeat,
-      MsgType::kJoinRequest,     MsgType::kJoinReply,        MsgType::kAppData,
-      MsgType::kChunkRequest,    MsgType::kChunkReply,       MsgType::kStreamPush,
-      MsgType::kStreamPull,      MsgType::kStreamChunk,
+      MsgType::kGroupMsgDigest,  MsgType::kHeartbeat,        MsgType::kJoinRequest,
+      MsgType::kJoinReply,       MsgType::kAppData,          MsgType::kChunkRequest,
+      MsgType::kChunkReply,      MsgType::kStreamPush,       MsgType::kStreamPull,
+      MsgType::kStreamChunk,
   };
   ASSERT_EQ(all.size(), kMsgTypeSlots);
   std::vector<bool> used(kMsgTypeSlots, false);

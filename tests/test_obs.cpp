@@ -203,7 +203,6 @@ TEST(TracerTest, ChromeJsonHasSpansInstantsAndSummary) {
 
 TEST(TracerTest, TracePointNamesAreStable) {
   EXPECT_STREQ(trace_point_name(TracePoint::kSend), "send");
-  EXPECT_STREQ(trace_point_name(TracePoint::kCoalesce), "coalesce");
   EXPECT_STREQ(trace_point_name(TracePoint::kRelay), "relay");
   EXPECT_STREQ(trace_point_name(TracePoint::kVouch), "vouch");
   EXPECT_STREQ(trace_point_name(TracePoint::kDeliver), "deliver");

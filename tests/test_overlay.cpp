@@ -428,175 +428,6 @@ TEST_F(GmFixture, FanOutSharesOneWireBufferAcrossReceivers) {
   EXPECT_EQ(delivered[0].second, got[0]);
 }
 
-// ---------------------------------------------------------------------------
-// Send coalescing & envelopes
-// ---------------------------------------------------------------------------
-
-// Hand-encode one full group-message frame (what PreparedGroupMessage's
-// full-rank senders put on the wire).
-net::Payload full_frame(GroupMessageId id, const Bytes& body) {
-  ByteWriter w;
-  w.u64(id.from_group);
-  w.u64(id.seq);
-  w.bytes(body);
-  return net::Payload(w.take());
-}
-
-TEST_F(GmFixture, CoalescerPassesALoneFrameThroughUnwrapped) {
-  std::uint64_t full = 0, envelopes = 0;
-  net.attach(receiver, net::MsgType::kGroupMsgFull, [&](const net::Message&) { ++full; });
-  net.attach(receiver, net::MsgType::kGroupMsgEnvelope,
-             [&](const net::Message&) { ++envelopes; });
-  SendCoalescer c(net::Transport(net, 1), rng);
-  c.enqueue(receiver, net::MsgType::kGroupMsgFull, full_frame({50, 1}, Bytes{0xAA}));
-  sim.run();
-  EXPECT_EQ(full, 1u);
-  EXPECT_EQ(envelopes, 0u);
-  EXPECT_EQ(c.messages_sent(), 1u);
-  EXPECT_EQ(c.envelopes_sent(), 0u);
-  EXPECT_EQ(c.messages_saved(), 0u);
-}
-
-TEST_F(GmFixture, CoalescerMergesSameTickFramesIntoOneEnvelope) {
-  std::uint64_t singles = 0, envelopes = 0;
-  net.attach(receiver, net::MsgType::kGroupMsgFull, [&](const net::Message&) { ++singles; });
-  net.attach(receiver, net::MsgType::kGroupMsgEnvelope,
-             [&](const net::Message&) { ++envelopes; });
-  SendCoalescer c(net::Transport(net, 1), rng);
-  for (std::uint64_t seq = 0; seq < 3; ++seq) {
-    c.enqueue(receiver, net::MsgType::kGroupMsgFull, full_frame({50, seq}, Bytes{0xAB}));
-  }
-  EXPECT_EQ(c.queued(), 3u);
-  sim.run();
-  EXPECT_EQ(singles, 0u);
-  EXPECT_EQ(envelopes, 1u);
-  EXPECT_EQ(c.queued(), 0u);
-  EXPECT_EQ(c.messages_sent(), 1u);
-  EXPECT_EQ(c.messages_saved(), 2u);
-}
-
-TEST_F(GmFixture, CoalescerSuppressesDuplicateFramesPerDestination) {
-  // The same frozen frame enqueued for the same node once per overlapping
-  // neighbor group: one copy travels, and it travels unwrapped.
-  std::uint64_t singles = 0, envelopes = 0;
-  net.attach(receiver, net::MsgType::kGroupMsgFull, [&](const net::Message&) { ++singles; });
-  net.attach(receiver, net::MsgType::kGroupMsgEnvelope,
-             [&](const net::Message&) { ++envelopes; });
-  SendCoalescer c(net::Transport(net, 1), rng);
-  net::Payload frame = full_frame({50, 7}, Bytes{0xCD});
-  for (int i = 0; i < 3; ++i) c.enqueue(receiver, net::MsgType::kGroupMsgFull, frame);
-  sim.run();
-  EXPECT_EQ(singles, 1u);
-  EXPECT_EQ(envelopes, 0u);
-  EXPECT_EQ(c.frames_enqueued(), 3u);
-  EXPECT_EQ(c.messages_saved(), 2u);
-}
-
-TEST_F(GmFixture, CoalescerSplitsOversizedBatchesAtTheCap) {
-  std::uint64_t singles = 0, envelopes = 0;
-  net.attach(receiver, net::MsgType::kGroupMsgFull, [&](const net::Message&) { ++singles; });
-  net.attach(receiver, net::MsgType::kGroupMsgEnvelope,
-             [&](const net::Message&) { ++envelopes; });
-  SendCoalescer c(net::Transport(net, 1), rng);
-  for (std::uint64_t seq = 0; seq < SendCoalescer::kMaxFramesPerEnvelope + 1; ++seq) {
-    c.enqueue(receiver, net::MsgType::kGroupMsgFull, full_frame({50, seq}, Bytes{0xEF}));
-  }
-  sim.run();
-  // One full envelope plus the lone remainder travelling as itself.
-  EXPECT_EQ(envelopes, 1u);
-  EXPECT_EQ(singles, 1u);
-}
-
-TEST_F(GmFixture, CoalescerRejectsNonGroupMessageTypes) {
-  SendCoalescer c(net::Transport(net, 1), rng);
-  EXPECT_THROW(c.enqueue(receiver, net::MsgType::kHeartbeat, net::Payload(Bytes{1})),
-               std::logic_error);
-  EXPECT_THROW(
-      c.enqueue(receiver, net::MsgType::kGroupMsgEnvelope, net::Payload(Bytes{1})),
-      std::logic_error);
-}
-
-TEST_F(GmFixture, EnvelopeDeliversEveryInnerFrame) {
-  // Majority of senders, each coalescing full frames of two distinct group
-  // messages to one receiver in the same tick: both messages reach
-  // acceptance out of one wire message per sender.
-  make_receiver();
-  std::vector<std::unique_ptr<SendCoalescer>> coalescers;
-  for (NodeId s : {1, 2, 3}) {
-    auto c = std::make_unique<SendCoalescer>(net::Transport(net, s), rng);
-    c->enqueue(receiver, net::MsgType::kGroupMsgFull, full_frame({50, 1}, Bytes{0x01}));
-    c->enqueue(receiver, net::MsgType::kGroupMsgFull, full_frame({50, 2}, Bytes{0x02}));
-    coalescers.push_back(std::move(c));
-  }
-  sim.run();
-  ASSERT_EQ(delivered.size(), 2u);
-  EXPECT_EQ(delivered[0].second, Bytes{0x01});
-  EXPECT_EQ(delivered[1].second, Bytes{0x02});
-}
-
-TEST_F(GmFixture, EnvelopeInnerFramesDeliverZeroCopy) {
-  // A hand-built envelope sent from a majority: the delivered body must be
-  // a slice of the envelope wire frame, not a copy.
-  make_receiver();
-  ByteWriter w;
-  w.varint(1);
-  w.u16(static_cast<std::uint16_t>(net::MsgType::kGroupMsgFull));
-  net::Payload inner = full_frame({50, 9}, Bytes{0xAB, 0xCD, 0xEF});
-  w.bytes(inner.data(), inner.size());
-  net::Payload envelope(w.take());
-  for (NodeId s : {1, 2, 3}) {
-    net::Transport t(net, s);
-    t.send(receiver, net::MsgType::kGroupMsgEnvelope, envelope);
-  }
-  sim.run();
-  ASSERT_EQ(delivered.size(), 1u);
-  const net::Payload& p = delivered[0].second;
-  EXPECT_EQ(p, (Bytes{0xAB, 0xCD, 0xEF}));
-  EXPECT_GE(p.data(), envelope.data());
-  EXPECT_LE(p.data() + p.size(), envelope.data() + envelope.size());
-}
-
-TEST_F(GmFixture, MalformedEnvelopesAreDropped) {
-  make_receiver();
-  net::Payload inner = full_frame({50, 9}, Bytes{0x55});
-  auto send_all = [&](const net::Payload& wire) {
-    for (NodeId s : {1, 2, 3}) {
-      net::Transport t(net, s);
-      t.send(receiver, net::MsgType::kGroupMsgEnvelope, wire);
-    }
-    sim.run();
-  };
-
-  {  // nested envelope type: rejected (envelopes do not recurse)
-    ByteWriter w;
-    w.varint(1);
-    w.u16(static_cast<std::uint16_t>(net::MsgType::kGroupMsgEnvelope));
-    w.bytes(inner.data(), inner.size());
-    send_all(net::Payload(w.take()));
-  }
-  {  // zero frames: rejected
-    ByteWriter w;
-    w.varint(0);
-    send_all(net::Payload(w.take()));
-  }
-  {  // frame count above the cap: rejected before decoding the frames
-    ByteWriter w;
-    w.varint(SendCoalescer::kMaxFramesPerEnvelope + 1);
-    w.u16(static_cast<std::uint16_t>(net::MsgType::kGroupMsgFull));
-    w.bytes(inner.data(), inner.size());
-    send_all(net::Payload(w.take()));
-  }
-  {  // truncated tail: the whole envelope is suspect, nothing delivers
-    ByteWriter w;
-    w.varint(2);
-    w.u16(static_cast<std::uint16_t>(net::MsgType::kGroupMsgFull));
-    w.bytes(inner.data(), inner.size());
-    send_all(net::Payload(w.take()));
-  }
-  EXPECT_TRUE(delivered.empty());
-  EXPECT_EQ(rx->pending_count(), 0u);
-}
-
 TEST_F(GmFixture, DeliveredTombstonesAreGarbageCollectedAfterTtl) {
   make_receiver();
   rx->set_tombstone_ttl(seconds(5.0));

@@ -367,7 +367,7 @@ TEST(ScenarioReportTest, CheckFlagsViolations) {
   clean.phases = {calm, failure};
   clean.events_executed = 40'000;
   clean.total_msgs_sent = 1'000;
-  clean.total_sha256_digests = 500;
+  clean.total_sha256_digests = 40;  // one per 25 messages: the limit
   EXPECT_TRUE(ScenarioDriver::check(s, clean).empty());
 
   auto only_violation = [&](const ScenarioReport& doctored, const char* needle) {
@@ -394,7 +394,7 @@ TEST(ScenarioReportTest, CheckFlagsViolations) {
   only_violation(arena, "simulator arena");
   // (c) Hashing per message instead of per frame.
   ScenarioReport hashes = clean;
-  hashes.total_sha256_digests = 501;
+  hashes.total_sha256_digests = 41;
   only_violation(hashes, "digest cache inactive");
   // HMAC signature checks hash too; with verification on the ratio is moot.
   s.params.verify_signatures = true;

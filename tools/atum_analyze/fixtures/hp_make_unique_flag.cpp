@@ -1,12 +1,13 @@
 // hot-path-alloc: make_unique is still a heap allocation, however tidy the
-// ownership — the coalescer flush runs once per outgoing envelope.
+// ownership — the node's group-message fan-out runs once per instant that
+// sends group messages.
 #include "atum_mini.h"
 
 namespace fx_hp_make_unique {
 
-class SendCoalescer {
+class AtumNode {
  public:
-  void flush() {
+  void send_fanouts() {
     auto scratch = std::make_unique<std::uint64_t>(1);  // expect: hot-path-alloc
     sent_ += *scratch;
   }

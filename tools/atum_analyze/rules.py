@@ -35,7 +35,6 @@ SERDE_ENTRY_PATTERNS = [
     r"::on_message$",
     r"::on_direct$",
     r"::on_group_message$",
-    r"::on_frame$",
     r"::on_deliver$",
     r"::on_stream_message$",
     r"::on_share_message$",
@@ -45,12 +44,12 @@ SERDE_ENTRY_PATTERNS = [
 ]
 
 # Per-event / per-message hot-path entry points: simulator event dispatch,
-# simulated delivery, gossip relay and send coalescing.
+# simulated delivery, gossip relay and the node's end-of-instant
+# group-message fan-out.
 HOT_ENTRY_PATTERNS = [
     r"sim::Simulator::step$",
     r"net::SimNetwork::send$",
-    r"SendCoalescer::enqueue$",
-    r"SendCoalescer::flush$",
+    r"AtumNode::send_fanouts$",
     r"::relay_gossip$",
 ]
 
