@@ -66,22 +66,13 @@ GroupMessageReceiver::GroupMessageReceiver(net::Transport transport, DeliverFn d
 
 GroupMessageReceiver::~GroupMessageReceiver() { transport_.close(); }
 
-void GroupMessageReceiver::gc_tombstones() {
+void GroupMessageReceiver::gc_expired() {
   const TimeMicros now = transport_.simulator().now();
   while (!gc_queue_.empty() && gc_queue_.front().first <= now) {
     auto it = entries_.find(gc_queue_.front().second);
     gc_queue_.pop_front();
-    // The entry's own deadline is authoritative: delivery pushes it past
-    // the creation-time queue entry, so a freshly delivered tombstone is
-    // skipped here and settled by its second queue entry. A settled entry
-    // stays behind for dedup until rotation erases it.
-    if (it == entries_.end() || it->second.expires_at > now) continue;
-    if (it->second.state == State::kBuffering) {
-      entries_.erase(it);
-    } else if (it->second.state == State::kTombstone) {
-      it->second.state = State::kDelivered;
-      --tombstones_;
-    }
+    // A delivered entry stays behind for dedup until rotation erases it.
+    if (it != entries_.end() && it->second.state == State::kBuffering) entries_.erase(it);
   }
 }
 
@@ -106,18 +97,16 @@ void GroupMessageReceiver::maybe_rotate_delivered() {
   ++generation_;
   delivered_rotate_at_ = now + 8 * tombstone_ttl_;
   auto stale = sorted_ids([this](const Entry& e) {
-    return e.state != State::kBuffering && e.generation + 2 <= generation_;
+    return e.state == State::kDelivered && e.generation + 2 <= generation_;
   });
   for (const GroupMessageId& id : stale) {
-    auto it = entries_.find(id);
-    if (it->second.state == State::kTombstone) --tombstones_;
+    entries_.erase(id);
     --delivered_;
-    entries_.erase(it);
   }
 }
 
 void GroupMessageReceiver::on_message(const net::Message& msg) {
-  gc_tombstones();
+  gc_expired();
   maybe_rotate_delivered();
 
   const bool is_full = msg.type == net::MsgType::kGroupMsgFull;
@@ -151,12 +140,11 @@ void GroupMessageReceiver::on_message(const net::Message& msg) {
   if (fresh) {
     // New entry: even if it never delivers (digest-only flood, content
     // short of majority, unknown sender group) it expires after a TTL.
-    e.expires_at = transport_.simulator().now() + tombstone_ttl_;
-    gc_queue_.emplace_back(e.expires_at, id);
+    gc_queue_.emplace_back(transport_.simulator().now() + tombstone_ttl_, id);
   }
-  // Duplicate of a delivered id (a tombstone, or later, inside the
-  // rotation window): dropped before it can re-deliver.
-  if (e.state != State::kBuffering) return;
+  // Duplicate of a delivered id inside the rotation window: dropped
+  // before it can re-deliver.
+  if (e.state == State::kDelivered) return;
 
   auto cit = std::lower_bound(e.candidates.begin(), e.candidates.end(), digest,
                               [](const Candidate& c, const crypto::Digest& d) {
@@ -191,16 +179,13 @@ void GroupMessageReceiver::try_deliver(const GroupMessageId& id, Entry& e) {
       tracer_->record(transport_.simulator().now(), transport_.self(), obs::TracePoint::kVouch,
                       id.seq, c.vouchers.size(), id.from_group);
     }
-    // Keep a tombstone for a full TTL from now; drop the buffered data.
+    // Keep the id for dedup; drop the buffered data.
     net::Payload payload = std::move(c.payload);
     NodeId relay = c.relay;
     e.candidates = std::vector<Candidate>();  // releases the capacity too
-    e.state = State::kTombstone;
+    e.state = State::kDelivered;
     e.generation = generation_;
-    e.expires_at = transport_.simulator().now() + tombstone_ttl_;
-    gc_queue_.emplace_back(e.expires_at, id);
     ++delivered_;
-    ++tombstones_;
     deliver_(id, relay, std::move(payload));
     return;
   }

@@ -116,12 +116,11 @@ class GroupMessageReceiver {
   //    and is collected — digest-only floods from a Byzantine member,
   //    below-majority content and unknown sender groups would otherwise
   //    grow the table by one entry per fresh id forever;
-  //  * a delivered entry drops its buffered data and keeps the rotation
-  //    generation it was delivered in. For one TTL it counts as a
-  //    tombstone in pending_count(). Every 8 TTLs (lazily, on arrival) the
-  //    generation advances and delivered entries two generations old are
-  //    erased, so a duplicate is dropped for at least 8 TTLs after delivery
-  //    — it would otherwise re-deliver and re-gossip. For broadcasts the
+  //  * a delivered entry drops its buffered data and keeps only the
+  //    rotation generation it was delivered in. Every 8 TTLs (lazily, on
+  //    arrival) the generation advances and delivered entries two
+  //    generations old are erased, so a duplicate is dropped for at least
+  //    8 TTLs after delivery — it would otherwise re-deliver and re-gossip. For broadcasts the
   //    id's seq is the payload digest prefix, so this window IS a digest
   //    dedup set, bounded by the delivery rate over two rotation periods.
   void set_tombstone_ttl(DurationMicros ttl) { tombstone_ttl_ = ttl; }
@@ -130,8 +129,8 @@ class GroupMessageReceiver {
   // composition through a neighbor update).
   void reevaluate();
 
-  // Buffered undelivered messages + tombstones younger than one TTL.
-  std::size_t pending_count() const { return entries_.size() - delivered_ + tombstones_; }
+  // Buffered undelivered messages.
+  std::size_t pending_count() const { return entries_.size() - delivered_; }
   // Delivered ids currently remembered for dedup (the last two rotation
   // generations).
   std::size_t delivered_dedup_count() const { return delivered_; }
@@ -147,23 +146,20 @@ class GroupMessageReceiver {
   };
   enum class State : std::uint8_t {
     kBuffering,
-    kTombstone,  // delivered less than one TTL ago
-    kDelivered,  // older; kept for dedup until rotation erases it
+    kDelivered,  // kept for dedup until rotation erases it
   };
   struct Entry {
     // Buffering only, sorted by digest: try_deliver scans candidates in
     // digest order, so an equivocating sender group delivers its lowest
     // majority digest.
     std::vector<Candidate> candidates;
-    // Buffering: collection deadline. Tombstone: end of its TTL.
-    TimeMicros expires_at = 0;
     std::uint32_t generation = 0;  // rotation generation of the delivery
     State state = State::kBuffering;
   };
 
   void on_message(const net::Message& msg);
   void try_deliver(const GroupMessageId& id, Entry& e);
-  void gc_tombstones();
+  void gc_expired();
   // Advances the generation every 8 TTLs and erases delivered entries two
   // generations old: an id stays dedup-covered for at least one full
   // rotation period after delivery.
@@ -178,12 +174,10 @@ class GroupMessageReceiver {
   MembershipFn membership_;
   obs::Tracer* tracer_ = nullptr;
   std::unordered_map<GroupMessageId, Entry, GroupMessageIdHash> entries_;
-  std::size_t delivered_ = 0;   // entries in kTombstone or kDelivered
-  std::size_t tombstones_ = 0;  // entries in kTombstone
+  std::size_t delivered_ = 0;  // entries in kDelivered
   DurationMicros tombstone_ttl_ = 60 * kMicrosPerSecond;
-  // Candidate deadlines in arrival order (an id appears once at creation
-  // and once more if delivered — the entry's own expires_at is
-  // authoritative); swept lazily on message arrival, O(1) amortized.
+  // Entry deadlines in creation order; swept lazily on message arrival,
+  // O(1) amortized.
   std::deque<std::pair<TimeMicros, GroupMessageId>> gc_queue_;
   std::uint32_t generation_ = 0;
   TimeMicros delivered_rotate_at_ = 0;

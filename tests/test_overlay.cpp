@@ -187,9 +187,10 @@ TEST_F(GmFixture, DeliversExactlyOnceOnDuplicates) {
   EXPECT_EQ(delivered.size(), 1u);
 }
 
-// Regression: a duplicate arriving AFTER its tombstone expired used to mint
-// a fresh Pending entry and deliver the same GroupMessageId a second time.
-// The rolling delivered-id set (kept for ~8 TTLs past delivery) must drop it.
+// Regression: a duplicate arriving more than one TTL after delivery used to
+// mint a fresh Pending entry and deliver the same GroupMessageId a second
+// time. The rolling delivered-id set (kept for ~8 TTLs past delivery) must
+// drop it.
 TEST_F(GmFixture, PostTtlDuplicateIsNotRedelivered) {
   make_receiver();
   rx->set_tombstone_ttl(seconds(1));
@@ -197,8 +198,7 @@ TEST_F(GmFixture, PostTtlDuplicateIsNotRedelivered) {
   sim.run();
   ASSERT_EQ(delivered.size(), 1u);
 
-  // Let the tombstone expire, then prove it is really gone: an unrelated
-  // frame triggers the GC sweep and the pending table empties.
+  // Let one TTL pass; an unrelated frame triggers the GC sweep.
   sim.run_until(sim.now() + seconds(3));
   for (NodeId s : group_a) {
     net::Transport t(net, s);
@@ -206,10 +206,11 @@ TEST_F(GmFixture, PostTtlDuplicateIsNotRedelivered) {
   }
   sim.run();
   ASSERT_EQ(delivered.size(), 2u);
-  // Only the fresh id's tombstone remains; the expired one was collected.
-  EXPECT_EQ(rx->pending_count(), 1u) << "expired tombstone should have been collected";
+  // Both ids are delivered: nothing buffers, both stay in the dedup window.
+  EXPECT_EQ(rx->pending_count(), 0u);
+  EXPECT_EQ(rx->delivered_dedup_count(), 2u);
 
-  // The replayed id is past its tombstone but inside the rolling window.
+  // The replayed id is past one TTL but inside the rolling window.
   send_from_all(Bytes{0xD7}, group_a);
   sim.run();
   EXPECT_EQ(delivered.size(), 2u) << "post-TTL duplicate was re-delivered";
@@ -378,7 +379,7 @@ TEST_F(GmFixture, MembershipFilterDropsOutsiders) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy delivery & tombstone GC
+// Zero-copy delivery & entry GC
 // ---------------------------------------------------------------------------
 
 TEST_F(GmFixture, DeliveryIsZeroCopyFromTheWire) {
@@ -434,19 +435,25 @@ TEST_F(GmFixture, DeliveredTombstonesAreGarbageCollectedAfterTtl) {
   send_from_all(Bytes{0x11}, group_a);
   sim.run();
   ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(rx->pending_count(), 1u);  // tombstone retained for dedup
+  EXPECT_EQ(rx->pending_count(), 0u);  // delivered: no longer buffering
+  EXPECT_EQ(rx->delivered_dedup_count(), 1u);  // id retained for dedup
   // Duplicates within the TTL are suppressed...
   send_from_all(Bytes{0x11}, group_a);
   sim.run();
   EXPECT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(rx->pending_count(), 1u);
-  // ...and past the TTL the tombstone is swept on the next arrival.
+  EXPECT_EQ(rx->pending_count(), 0u);
+  // ...and past the TTL the GC sweep on the next arrival keeps the
+  // delivered id for dedup.
   sim.run_until(sim.now() + seconds(6.0));
   net::Transport t(net, 1);
   send_group_message(t, group_a, GroupMessageId{50, 77}, {receiver}, net::Payload(Bytes{0x22}),
                      rng);
   sim.run();
-  EXPECT_EQ(rx->pending_count(), 1u);  // only the new (undelivered) id remains
+  EXPECT_EQ(rx->pending_count(), 1u);  // only the new (undelivered) id buffers
+  EXPECT_EQ(rx->delivered_dedup_count(), 1u);
+  send_from_all(Bytes{0x11}, group_a);
+  sim.run();
+  EXPECT_EQ(delivered.size(), 1u);
 }
 
 TEST_F(GmFixture, UndeliveredFloodFromByzantineSenderIsBounded) {
@@ -454,7 +461,7 @@ TEST_F(GmFixture, UndeliveredFloodFromByzantineSenderIsBounded) {
   rx->set_tombstone_ttl(seconds(2.0));
   // One Byzantine member of a known group mints a fresh id per tick and
   // sends digest-only frames that can never deliver (no full copy, no
-  // majority). Undelivered buffering must expire like tombstones do —
+  // majority). Undelivered buffering must expire after one TTL —
   // otherwise this grows pending_ by one entry per id forever.
   net::Transport t(net, 1);
   for (std::uint64_t seq = 0; seq < 300; ++seq) {
@@ -486,8 +493,8 @@ TEST_F(GmFixture, PendingStaysBoundedUnderSustainedBroadcast) {
   }
   sim.run();
   EXPECT_EQ(delivered.size(), kRounds);
-  // 2 s TTL at one delivery per 100 ms: ~20 live tombstones, never 200.
-  EXPECT_LT(rx->pending_count(), 40u);
+  // Every id delivered, so none is left buffering.
+  EXPECT_EQ(rx->pending_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
