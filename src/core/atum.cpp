@@ -192,8 +192,7 @@ AtumNode::AtumNode(AtumSystem& system, NodeId id, NodeBehavior behavior)
       id_(id),
       behavior_(behavior),
       transport_(system.network(), id),
-      rng_(system.rng().next_u64() ^ id),
-      gossip_(overlay::forward_flood()) {
+      rng_(system.rng().next_u64() ^ id) {
   transport_.listen({net::MsgType::kJoinRequest, net::MsgType::kJoinReply,
                      net::MsgType::kHeartbeat},
                     [this](const net::Message& m) { on_direct(m); });
@@ -373,10 +372,9 @@ void AtumNode::on_smr_decide(std::uint64_t, NodeId origin, const net::Payload& w
   switch (op.kind) {
     case group::OpKind::kBroadcast: {
       if (op.broadcast.bcast.origin != origin) return;  // forged origin
-      deliver_broadcast(op.broadcast.bcast, op.broadcast.payload, wire);
       // The decided op IS the gossip frame (see static_assert above):
       // relay the buffer we already hold instead of re-encoding it.
-      relay_gossip(op.broadcast.bcast, op.broadcast.payload, wire);
+      on_broadcast(op.broadcast.bcast, op.broadcast.payload, wire);
       break;
     }
     case group::OpKind::kSuspect: {
@@ -536,9 +534,7 @@ void AtumNode::on_group_message(const overlay::GroupMessageId& gm_id, NodeId,
         BroadcastId id{r.u64(), r.u64()};
         // The broadcast body is a slice of the received frame; the frame
         // itself is relayed verbatim. Neither is ever copied.
-        net::Payload body = payload.slice(r.bytes_view());
-        deliver_broadcast(id, body, payload);
-        relay_gossip(id, body, payload);
+        on_broadcast(id, payload.slice(r.bytes_view()), payload);
         break;
       }
       case kGmWalk: {
@@ -561,23 +557,20 @@ void AtumNode::on_group_message(const overlay::GroupMessageId& gm_id, NodeId,
   }
 }
 
-void AtumNode::deliver_broadcast(const BroadcastId& id, const net::Payload& payload,
-                                 const net::Payload& frame) {
-  if (!gossip_.first_sighting(id)) return;
-  ++delivered_;
+void AtumNode::on_broadcast(const BroadcastId& id, const net::Payload& body,
+                            const net::Payload& frame) {
+  if (!seen_.insert(id).second) return;
   obs::Tracer& tr = sys_.tracer();
   if (tr.enabled()) {
     // frame.digest() is memoized and shared with the vouch/relay paths.
     tr.record(sys_.simulator().now(), id_, obs::TracePoint::kDeliver,
               crypto::digest_prefix64(frame.digest()), id.origin);
   }
-  if (behavior_ == NodeBehavior::kCorrect && deliver_) deliver_(id.origin, payload);
-}
+  if (!is_sender_behavior()) return;  // faulty nodes neither deliver nor relay
+  if (deliver_) deliver_(id.origin, body);
 
-void AtumNode::relay_gossip(const BroadcastId& id, const net::Payload& payload,
-                            const net::Payload& frame) {
-  if (!is_sender_behavior()) return;
-  std::vector<overlay::NeighborRef> relays = gossip_.relays(id, payload, vg_.neighbor_refs());
+  std::vector<overlay::NeighborRef> relays =
+      overlay::relay_targets(forward_, id, body, vg_.neighbor_refs());
   if (relays.empty()) return;
   // One wire frame (wrapping the received gossip frame verbatim) + one
   // digest for the whole relay fan-out; every neighbor group and every
@@ -591,7 +584,6 @@ void AtumNode::relay_gossip(const BroadcastId& id, const net::Payload& payload,
     auto view = vg_.find_group(ref.group);
     if (view) dests.insert(dests.end(), view->members.begin(), view->members.end());
   }
-  obs::Tracer& tr = sys_.tracer();
   if (tr.enabled() && !dests.empty()) {
     tr.record(sys_.simulator().now(), id_, obs::TracePoint::kRelay,
               crypto::digest_prefix64(frame.digest()), dests.size(), relays.size());

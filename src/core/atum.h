@@ -1,10 +1,10 @@
 // Atum: the group communication middleware (§3).
 //
 // AtumNode is the per-node runtime: it owns the node's replica of its
-// vgroup's SMR engine, the group-message endpoint, the gossip relay state,
-// and the heartbeat/eviction machinery, and it exposes the §3.3 API —
-// bootstrap / join / leave / broadcast plus the deliver and forward
-// callbacks.
+// vgroup's SMR engine, the group-message endpoint, the broadcast seen-set
+// and forward policy, and the heartbeat/eviction machinery, and it exposes
+// the §3.3 API — bootstrap / join / leave / broadcast plus the deliver and
+// forward callbacks.
 //
 // AtumSystem is the deployment context (simulator, network, key store,
 // parameters) plus a harness for creating nodes and for instant deployment
@@ -31,9 +31,10 @@
 // refcounted net::Payload views — the decided op is sliced out of the SMR
 // frame, delivered to DeliverFn as a view, and relayed across the overlay
 // verbatim (the BroadcastOp encoding doubles as the gossip frame). A node
+// delivers and relays a broadcast once, on its first sighting, so it
 // materializes at most one new buffer per broadcast (its own outgoing
 // group-message wire frame), however many groups and members it fans out
-// to.
+// to and however many neighbor groups relay the broadcast to it.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +44,7 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -165,13 +167,15 @@ class AtumNode {
   // metrics tap in front of an application handler: grab the handler, then
   // set_deliver a wrapper that calls both (see scenario::ScenarioDriver).
   DeliverFn deliver_handler() const { return deliver_; }
-  void set_forward(overlay::ForwardFn fn) { gossip_.set_forward(std::move(fn)); }
+  void set_forward(overlay::ForwardFn fn) { forward_ = std::move(fn); }
 
   // ----- introspection -----
   bool joined() const { return runtime_active_; }
   GroupId group_id() const { return vg_.id(); }
   const group::VGroupState& vgroup() const { return vg_; }
-  std::uint64_t delivered_count() const { return delivered_; }
+  // Broadcasts this node has sighted, one per id (a correct node delivers
+  // each one).
+  std::uint64_t delivered_count() const { return seen_.size(); }
   std::uint64_t smr_epoch() const { return smr_ ? smr_->epoch() : 0; }
   // Group-message fan-out stats: destinations addressed (a node reached
   // through several neighbor groups counts once per group) and frames
@@ -194,18 +198,15 @@ class AtumNode {
   void on_direct(const net::Message& msg);
 
   // --- protocol actions ---
-  // `frame` is the gossip wire frame the broadcast arrived as (the decided
-  // op's encoding on the SMR path) — its digest prefix is the trace key
+  // A broadcast arriving from the own vgroup's SMR or from a neighbor
+  // vgroup's gossip. On its first sighting the node delivers `body` and,
+  // for a sender behavior, relays `frame` once to the neighbor groups the
+  // forward policy chooses; a repeat does nothing. `frame` is the gossip
+  // wire frame the broadcast arrived as (the decided op's encoding on the
+  // SMR path): it is relayed verbatim, wrapped only in the node's own
+  // group-message wire frame, and its digest prefix is the trace key
   // joining this delivery to every other hop of the same broadcast.
-  void deliver_broadcast(const BroadcastId& id, const net::Payload& payload,
-                         const net::Payload& frame);
-  // Relays `frame` (the received kGmGossip group-message body, or the
-  // decided broadcast op whose encoding doubles as that frame) verbatim to
-  // the chosen neighbor groups: a relaying node never re-encodes the
-  // gossip frame, it only wraps it in its own group-message wire frame —
-  // the node's single payload materialization.
-  void relay_gossip(const BroadcastId& id, const net::Payload& payload,
-                    const net::Payload& frame);
+  void on_broadcast(const BroadcastId& id, const net::Payload& body, const net::Payload& frame);
   void handle_walk(overlay::WalkState walk);
   void forward_walk(overlay::WalkState walk);
   // Encodes `payload` as a group message exactly once (nullopt for
@@ -253,7 +254,9 @@ class AtumNode {
   std::unique_ptr<smr::ReconfigurableSmr> smr_;
   std::unique_ptr<overlay::GroupMessageReceiver> gm_rx_;
   std::unique_ptr<sim::PeriodicTimer> heartbeat_timer_;
-  overlay::GossipState gossip_;
+  overlay::ForwardFn forward_ = overlay::forward_flood();
+  // Every broadcast id this node has sighted (delivered).
+  std::unordered_set<BroadcastId> seen_;
   DeliverFn deliver_;
 
   bool runtime_active_ = false;
@@ -262,7 +265,6 @@ class AtumNode {
   // the group's position instead of re-deriving genesis.
   std::optional<smr::EpochState> resume_epoch_;
   std::uint64_t bcast_seq_ = 0;
-  std::uint64_t delivered_ = 0;
   std::uint64_t walk_nonce_ = 0;
 
   // Join handshake state (as the joiner).

@@ -1,5 +1,7 @@
 #include "overlay/gossip.h"
 
+#include <utility>
+
 namespace atum::overlay {
 
 ForwardFn forward_flood() {
@@ -37,18 +39,15 @@ ForwardFn forward_none() {
   return [](const BroadcastId&, const net::Payload&, const NeighborRef&) { return false; };
 }
 
-bool GossipState::first_sighting(const BroadcastId& id) { return seen_.insert(id).second; }
-
-bool GossipState::seen(const BroadcastId& id) const { return seen_.contains(id); }
-
-std::vector<NeighborRef> GossipState::relays(const BroadcastId& id, const net::Payload& payload,
-                                             const std::vector<NeighborRef>& neighbors) const {
+std::vector<NeighborRef> relay_targets(const ForwardFn& forward, const BroadcastId& id,
+                                       const net::Payload& payload,
+                                       const std::vector<NeighborRef>& neighbors) {
   std::vector<NeighborRef> out;
   for (const NeighborRef& n : neighbors) {
     // Deterministic delivery guarantee: the cycle-0 successor link is always
     // used, whatever the application callback says.
     bool mandatory = (n.cycle == 0 && n.direction == 0);
-    if (mandatory || (forward_ && forward_(id, payload, n))) {
+    if (mandatory || (forward && forward(id, payload, n))) {
       out.push_back(n);
     }
   }

@@ -1,10 +1,11 @@
 // Gossip dissemination among vgroups (§3.2, §3.3.4).
 //
 // Broadcast phase two: when a vgroup receives a broadcast for the first
-// time it delivers the message and then consults the application-provided
-// `forward` callback once per overlay neighbor to decide whether to relay.
-// To turn gossip's probabilistic delivery into a deterministic guarantee,
-// the engine always relays along a designated cycle (cycle 0, successor
+// time it delivers the message and relays it once (AtumNode::on_broadcast
+// owns that first-sighting rule). The relay consults the
+// application-provided `forward` callback once per overlay neighbor. To
+// turn gossip's probabilistic delivery into a deterministic guarantee,
+// relay_targets always relays along a designated cycle (cycle 0, successor
 // direction) in addition to whatever the callback chooses — the paper's
 // "gossip at least with neighboring vgroups on a specific cycle".
 #pragma once
@@ -12,8 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <set>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -46,29 +45,10 @@ ForwardFn forward_random(double p, std::uint64_t seed);
 // Never relay (the unwise choice §3.3.4 warns about; used in tests).
 ForwardFn forward_none();
 
-// Per-vgroup-member dedup and relay bookkeeping for broadcasts. Pure logic:
-// the group/core layer feeds accepted group messages in and sends the
-// relays this class decides on.
-class GossipState {
- public:
-  explicit GossipState(ForwardFn forward) : forward_(std::move(forward)) {}
-
-  void set_forward(ForwardFn fn) { forward_ = std::move(fn); }
-
-  // First sighting of a broadcast? (also records it)
-  bool first_sighting(const BroadcastId& id);
-  bool seen(const BroadcastId& id) const;
-
-  // Relay decision for one broadcast across the group's neighbor set;
-  // always includes the deterministic cycle-0 successor link.
-  std::vector<NeighborRef> relays(const BroadcastId& id, const net::Payload& payload,
-                                  const std::vector<NeighborRef>& neighbors) const;
-
-  std::size_t seen_count() const { return seen_.size(); }
-
- private:
-  ForwardFn forward_;
-  std::unordered_set<BroadcastId> seen_;
-};
+// Relay decision for one broadcast across a vgroup's neighbor set: the
+// neighbors `forward` chooses, plus the mandatory cycle-0 successor link.
+std::vector<NeighborRef> relay_targets(const ForwardFn& forward, const BroadcastId& id,
+                                       const net::Payload& payload,
+                                       const std::vector<NeighborRef>& neighbors);
 
 }  // namespace atum::overlay

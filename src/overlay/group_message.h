@@ -120,9 +120,10 @@ class GroupMessageReceiver {
   //    rotation generation it was delivered in. Every 8 TTLs (lazily, on
   //    arrival) the generation advances and delivered entries two
   //    generations old are erased, so a duplicate is dropped for at least
-  //    8 TTLs after delivery — it would otherwise re-deliver and re-gossip. For broadcasts the
-  //    id's seq is the payload digest prefix, so this window IS a digest
-  //    dedup set, bounded by the delivery rate over two rotation periods.
+  //    8 TTLs after delivery — it would otherwise re-deliver and
+  //    re-gossip. For broadcasts the id's seq is the payload digest
+  //    prefix, so this window IS a digest dedup set, bounded by the
+  //    delivery rate over two rotation periods.
   void set_tombstone_ttl(DurationMicros ttl) { tombstone_ttl_ = ttl; }
 
   // Re-evaluates buffered messages (e.g. after learning a group's

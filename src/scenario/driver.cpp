@@ -642,11 +642,12 @@ std::vector<std::string> ScenarioDriver::check(const ScenarioSpec& spec,
   }
   // (c) The per-frame digest cache is active: hashes track frames, not
   // messages (without it every full-frame delivery hashes at the receiver).
-  // With the Payload::digest() memo every preset reads at most 0.024
-  // digests per message (soak at 100 nodes; the others stay under 0.02
-  // from 90 to 2000 nodes). Without it soak reads 0.067 at 20000 nodes and
-  // 0.075 at 1500, and the broadcast-heavy presets about 0.6. One digest
-  // per 25 messages splits the two populations.
+  // With the Payload::digest() memo every preset reads at most 0.034
+  // digests per message (stream_under_churn at 100 nodes, 0.029 at 300;
+  // the others stay under 0.028 from 100 to 20000 nodes). Without it the
+  // broadcast-heavy presets read about 0.5 and soak 0.134 at 100 nodes,
+  // 0.045 at 1500 and 0.036 at 20000. One digest per 25 messages splits
+  // the two populations everywhere but soak at 20000 nodes.
   // With signature verification on, HMACs (two digests each) swamp the
   // count, so the ratio says nothing about the cache.
   constexpr std::uint64_t kMinMsgsPerDigest = 25;

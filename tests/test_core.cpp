@@ -3,6 +3,7 @@
 // evaluation, and the Table 1 parameter helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -159,6 +160,35 @@ TEST_F(CoreFixture, BroadcastDeliveredExactlyOnce) {
     int count = 0;
     for (const auto& m : msgs) count += (m == msg("once"));
     EXPECT_EQ(count, 1) << "node " << n;
+  }
+}
+
+TEST_F(CoreFixture, BroadcastIsDeliveredAndRelayedOncePerNode) {
+  // A node first sees a broadcast from its own vgroup's SMR or from one of
+  // its neighbor groups, and then from every other neighbor group that
+  // relays it. Only the first sighting delivers and relays.
+  deploy(80);
+  ASSERT_GT(sys->group_map().size(), 2 * fast_params().hc);
+  sys->tracer().enable();
+  sys->node(5).broadcast(msg("relay-once"));
+  run_for(seconds(20));
+
+  const std::vector<obs::TraceEvent> events = sys->tracer().snapshot();
+  auto send = std::find_if(events.begin(), events.end(), [](const obs::TraceEvent& e) {
+    return e.point == obs::TracePoint::kSend;
+  });
+  ASSERT_NE(send, events.end());
+  std::map<NodeId, int> relays, delivers;
+  for (const obs::TraceEvent& e : events) {
+    if (e.key != send->key) continue;
+    if (e.point == obs::TracePoint::kRelay) ++relays[e.node];
+    if (e.point == obs::TracePoint::kDeliver) ++delivers[e.node];
+  }
+  for (NodeId n = 0; n < 80; ++n) {
+    EXPECT_EQ(relays[n], 1) << "node " << n;
+    EXPECT_EQ(delivers[n], 1) << "node " << n;
+    EXPECT_EQ(delivered[n].size(), 1u) << "node " << n;
+    EXPECT_EQ(sys->node(n).delivered_count(), delivered[n].size()) << "node " << n;
   }
 }
 

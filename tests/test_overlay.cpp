@@ -732,14 +732,12 @@ std::vector<NeighborRef> three_cycle_neighbors() {
 }
 
 TEST(Gossip, FloodRelaysEverywhere) {
-  GossipState g(forward_flood());
-  auto r = g.relays(BroadcastId{1, 1}, {}, three_cycle_neighbors());
+  auto r = relay_targets(forward_flood(), BroadcastId{1, 1}, {}, three_cycle_neighbors());
   EXPECT_EQ(r.size(), 6u);
 }
 
 TEST(Gossip, CyclePolicyRestrictsButKeepsMandatoryLink) {
-  GossipState g(forward_cycles({1}));
-  auto r = g.relays(BroadcastId{1, 1}, {}, three_cycle_neighbors());
+  auto r = relay_targets(forward_cycles({1}), BroadcastId{1, 1}, {}, three_cycle_neighbors());
   // Cycle 1 both directions + the mandatory cycle-0 successor.
   ASSERT_EQ(r.size(), 3u);
   std::set<GroupId> targets;
@@ -750,8 +748,7 @@ TEST(Gossip, CyclePolicyRestrictsButKeepsMandatoryLink) {
 }
 
 TEST(Gossip, NonePolicyStillGuaranteesDelivery) {
-  GossipState g(forward_none());
-  auto r = g.relays(BroadcastId{1, 1}, {}, three_cycle_neighbors());
+  auto r = relay_targets(forward_none(), BroadcastId{1, 1}, {}, three_cycle_neighbors());
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(r[0].group, 100u);
   EXPECT_EQ(r[0].cycle, 0u);
@@ -759,32 +756,23 @@ TEST(Gossip, NonePolicyStillGuaranteesDelivery) {
 }
 
 TEST(Gossip, RandomPolicyIsDeterministicPerBroadcast) {
-  auto f = forward_random(0.5, 7);
-  auto g1 = GossipState(f), g2 = GossipState(f);
+  // Two members of one vgroup, each holding its own copy of the policy.
+  auto f1 = forward_random(0.5, 7), f2 = forward_random(0.5, 7);
   auto n = three_cycle_neighbors();
-  auto r1 = g1.relays(BroadcastId{3, 9}, {}, n);
-  auto r2 = g2.relays(BroadcastId{3, 9}, {}, n);
+  auto r1 = relay_targets(f1, BroadcastId{3, 9}, {}, n);
+  auto r2 = relay_targets(f2, BroadcastId{3, 9}, {}, n);
   ASSERT_EQ(r1.size(), r2.size());
   for (std::size_t i = 0; i < r1.size(); ++i) EXPECT_EQ(r1[i].group, r2[i].group);
 }
 
 TEST(Gossip, RandomPolicyVariesAcrossBroadcasts) {
-  GossipState g(forward_random(0.5, 7));
+  auto f = forward_random(0.5, 7);
   auto n = three_cycle_neighbors();
   std::set<std::size_t> sizes;
   for (std::uint64_t s = 0; s < 32; ++s) {
-    sizes.insert(g.relays(BroadcastId{1, s}, {}, n).size());
+    sizes.insert(relay_targets(f, BroadcastId{1, s}, {}, n).size());
   }
   EXPECT_GT(sizes.size(), 1u);
-}
-
-TEST(Gossip, FirstSightingDedups) {
-  GossipState g(forward_flood());
-  EXPECT_TRUE(g.first_sighting(BroadcastId{1, 1}));
-  EXPECT_FALSE(g.first_sighting(BroadcastId{1, 1}));
-  EXPECT_TRUE(g.first_sighting(BroadcastId{1, 2}));
-  EXPECT_TRUE(g.seen(BroadcastId{1, 1}));
-  EXPECT_FALSE(g.seen(BroadcastId{2, 1}));
 }
 
 }  // namespace

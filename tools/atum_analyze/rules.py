@@ -44,13 +44,13 @@ SERDE_ENTRY_PATTERNS = [
 ]
 
 # Per-event / per-message hot-path entry points: simulator event dispatch,
-# simulated delivery, gossip relay and the node's end-of-instant
-# group-message fan-out.
+# simulated delivery, a broadcast's first-sighting delivery and relay, and
+# the node's end-of-instant group-message fan-out.
 HOT_ENTRY_PATTERNS = [
     r"sim::Simulator::step$",
     r"net::SimNetwork::send$",
     r"AtumNode::send_fanouts$",
-    r"::relay_gossip$",
+    r"AtumNode::on_broadcast$",
 ]
 
 RULE_PAYLOAD_ESCAPE = "payload-escape"
