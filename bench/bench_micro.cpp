@@ -221,6 +221,41 @@ static void BM_GroupReceiverFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupReceiverFrame)->Arg(0)->Arg(1);
 
+// GroupMessageReceiver::reevaluate (run on every accepted neighbor update)
+// on a table holding Arg delivered ids kept for dedup and nothing
+// buffering: the usual state under churn, which has nothing to re-check.
+static void BM_ReceiverReevaluate(benchmark::State& state) {
+  const auto delivered_ids = static_cast<std::uint64_t>(state.range(0));
+  constexpr GroupId kGroup = 9;
+  constexpr NodeId kReceiver = 100;
+  const std::vector<NodeId> senders{1, 2, 3};
+  sim::Simulator sim;
+  net::SimNetwork net(sim, net::NetworkConfig::datacenter());
+  std::uint64_t delivered = 0;
+  overlay::GroupMessageReceiver rx(
+      net::Transport(net, kReceiver),
+      [&delivered](const overlay::GroupMessageId&, NodeId, net::Payload) { ++delivered; });
+  rx.set_group_size_fn([&senders](GroupId) -> std::optional<std::size_t> {
+    return senders.size();
+  });
+  Rng rng(3);
+  const net::Payload body(Bytes(32, 0x42));
+  for (std::uint64_t seq = 1; seq <= delivered_ids; ++seq) {
+    for (NodeId s : senders) {
+      net::Transport t(net, s);
+      overlay::send_group_message(t, senders, overlay::GroupMessageId{kGroup, seq}, {kReceiver},
+                                  body, rng);
+    }
+  }
+  sim.run();
+  if (rx.delivered_dedup_count() != delivered_ids) state.SkipWithError("ids did not deliver");
+  for (auto _ : state) {
+    rx.reevaluate();
+  }
+  benchmark::DoNotOptimize(delivered);
+}
+BENCHMARK(BM_ReceiverReevaluate)->Arg(0)->Arg(1000)->Arg(10000);
+
 // SimNetwork per message: send plus delivery of one message to a node with
 // 12 typed handlers (an Atum node registers about that many: PBFT, group
 // messages, heartbeats, joins), cycling through the types.

@@ -286,8 +286,8 @@ void AtumNode::setup_runtime() {
     heartbeat_timer_ = std::make_unique<sim::PeriodicTimer>(
         sys_.simulator(), sys_.params().heartbeat_period, [this] { heartbeat_tick(); });
   }
-  last_seen_.clear();
-  for (NodeId peer : vg_.members()) last_seen_[peer] = sys_.simulator().now();
+  heard_at_.assign(vg_.size(), sys_.simulator().now());
+  non_member_heard_.clear();
   accusations_.clear();
   runtime_active_ = true;
 }
@@ -421,7 +421,7 @@ void AtumNode::on_config_change(std::uint64_t, const smr::GroupConfig& config) {
       ++it;
     }
   }
-  for (NodeId n : vg_.members()) last_seen_.try_emplace(n, sys_.simulator().now());
+  rebuild_heartbeat_record(old_members);
 
   // Tell neighbors about the new composition (§3.2).
   send_neighbor_updates();
@@ -690,7 +690,13 @@ void AtumNode::on_direct(const net::Message& msg) {
   try {
     switch (msg.type) {
       case net::MsgType::kHeartbeat: {
-        last_seen_[msg.from] = sys_.simulator().now();
+        const std::vector<NodeId>& members = vg_.members();
+        auto it = std::lower_bound(members.begin(), members.end(), msg.from);
+        if (it != members.end() && *it == msg.from) {
+          heard_at_[static_cast<std::size_t>(it - members.begin())] = sys_.simulator().now();
+        } else {
+          remember_non_member(msg.from, sys_.simulator().now());
+        }
         break;
       }
       case net::MsgType::kJoinRequest: {
@@ -770,6 +776,42 @@ void AtumNode::on_direct(const net::Message& msg) {
   }
 }
 
+void AtumNode::rebuild_heartbeat_record(const std::vector<NodeId>& old_members) {
+  // old_members is the sorted list heard_at_ was aligned with.
+  const std::vector<NodeId>& members = vg_.members();
+  std::vector<TimeMicros> heard_at(members.size(), sys_.simulator().now());
+  for (std::size_t j = 0; j < members.size(); ++j) {
+    auto old = std::lower_bound(old_members.begin(), old_members.end(), members[j]);
+    if (old != old_members.end() && *old == members[j]) {
+      heard_at[j] = heard_at_[static_cast<std::size_t>(old - old_members.begin())];
+      continue;
+    }
+    auto seen = std::find_if(non_member_heard_.begin(), non_member_heard_.end(),
+                             [&](const auto& e) { return e.first == members[j]; });
+    if (seen != non_member_heard_.end()) {
+      heard_at[j] = seen->second;
+      non_member_heard_.erase(seen);
+    }
+  }
+  for (std::size_t i = 0; i < old_members.size(); ++i) {
+    if (!vg_.has_member(old_members[i])) remember_non_member(old_members[i], heard_at_[i]);
+  }
+  heard_at_ = std::move(heard_at);
+}
+
+void AtumNode::remember_non_member(NodeId node, TimeMicros at) {
+  auto it = std::find_if(non_member_heard_.begin(), non_member_heard_.end(),
+                         [&](const auto& e) { return e.first == node; });
+  if (it != non_member_heard_.end()) {
+    it->second = at;
+    return;
+  }
+  non_member_heard_.emplace_back(node, at);
+  if (non_member_heard_.size() > kNonMembersHeard) {
+    non_member_heard_.erase(non_member_heard_.begin());
+  }
+}
+
 void AtumNode::heartbeat_tick() {
   if (!runtime_active_) return;
   for (NodeId peer : vg_.members()) {
@@ -792,11 +834,10 @@ void AtumNode::heartbeat_tick() {
 
   DurationMicros deadline = static_cast<DurationMicros>(sys_.params().heartbeat_miss_limit) *
                             sys_.params().heartbeat_period;
-  for (NodeId peer : vg_.members()) {
+  for (std::size_t i = 0; i < vg_.size(); ++i) {
+    const NodeId peer = vg_.members()[i];
     if (peer == id_) continue;
-    auto it = last_seen_.find(peer);
-    TimeMicros seen = it == last_seen_.end() ? 0 : it->second;
-    if (sys_.simulator().now() - seen > deadline && smr_) {
+    if (sys_.simulator().now() - heard_at_[i] > deadline && smr_) {
       group::SuspectOp op;
       op.suspect = peer;
       smr_->propose(op.encode());

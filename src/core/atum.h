@@ -177,6 +177,8 @@ class AtumNode {
   // each one).
   std::uint64_t delivered_count() const { return seen_.size(); }
   std::uint64_t smr_epoch() const { return smr_ ? smr_->epoch() : 0; }
+  // Entries in the heartbeat record: one per current vgroup member.
+  std::size_t heartbeat_record_size() const { return heard_at_.size(); }
   // Group-message fan-out stats: destinations addressed (a node reached
   // through several neighbor groups counts once per group) and frames
   // actually sent after the per-fan-out de-duplication.
@@ -223,6 +225,12 @@ class AtumNode {
   void send_fanouts();
   void send_neighbor_updates();
   void heartbeat_tick();
+  // Re-aligns heard_at_ with vg_.members() after a reconfiguration from
+  // `old_members`: a continuing member keeps its time, an admitted one
+  // takes its non-member time if it has one, else now; a removed one
+  // becomes a non-member.
+  void rebuild_heartbeat_record(const std::vector<NodeId>& old_members);
+  void remember_non_member(NodeId node, TimeMicros at);
   void evaluate_suspicions();
   Bytes snapshot_state() const;  // join reply payload
   // Decodes a join snapshot; fills `epoch_out` with the config-history
@@ -276,8 +284,18 @@ class AtumNode {
 
   // Walk nonces already launched (dedup across members' duplicate ops).
   std::set<std::uint64_t> walks_started_;
-  // Heartbeat bookkeeping.
-  std::unordered_map<NodeId, TimeMicros> last_seen_;
+  // Heartbeat bookkeeping. heard_at_[i] is when vg_.members()[i] was last
+  // heard from (the runtime's start, or its admission, if never since);
+  // every reconfiguration rebuilds it for the new member list.
+  std::vector<TimeMicros> heard_at_;
+  // The same time for the last kNonMembersHeard non-members that were
+  // removed or sent a heartbeat, oldest first. A reconfiguration proposed
+  // before another one removed a member still lists it, so applying it
+  // re-admits that member; it resumes its old time here (a silent one is
+  // suspected at the next tick, not a full deadline later), and so does a
+  // joiner whose heartbeat arrived before its admission.
+  static constexpr std::size_t kNonMembersHeard = 16;
+  std::vector<std::pair<NodeId, TimeMicros>> non_member_heard_;
   // suspect -> accusers whose SuspectOp was decided.
   std::map<NodeId, std::set<NodeId>> accusations_;
 };

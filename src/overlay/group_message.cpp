@@ -192,6 +192,9 @@ void GroupMessageReceiver::try_deliver(const GroupMessageId& id, Entry& e) {
 }
 
 void GroupMessageReceiver::reevaluate() {
+  // Usually every entry is a delivered id kept for dedup: nothing to
+  // re-check, and walking minutes of delivery history would find nothing.
+  if (pending_count() == 0) return;
   // In GroupMessageId order, independent of the hash layout; each id is
   // re-found because a delivery callback may touch the table.
   auto buffered = sorted_ids([](const Entry& e) { return e.state == State::kBuffering; });

@@ -126,8 +126,9 @@ class GroupMessageReceiver {
   //    delivery rate over two rotation periods.
   void set_tombstone_ttl(DurationMicros ttl) { tombstone_ttl_ = ttl; }
 
-  // Re-evaluates buffered messages (e.g. after learning a group's
-  // composition through a neighbor update).
+  // Re-evaluates buffered messages, in GroupMessageId order (e.g. after
+  // learning a group's composition through a neighbor update). O(1) when
+  // nothing is buffering; otherwise one pass over the table.
   void reevaluate();
 
   // Buffered undelivered messages.

@@ -28,6 +28,7 @@ void ScenarioSpec::validate() const {
   if (drain < 0) fail("negative drain");
   if (metrics_interval < 0) fail("negative metrics_interval");
   if (trace_ring == 0) fail("trace_ring must be > 0");
+  if (digest_bound.msgs_per_digest == 0) fail("digest_bound.msgs_per_digest must be > 0");
   params.validate();
   net.validate();
   for (std::size_t c : relay_cycles) {

@@ -145,6 +145,15 @@ struct ScenarioSpec {
   DurationMicros drain = seconds(45.0);
   std::vector<Phase> phases;
   std::vector<Expectation> expectations;
+  // Run invariant (c), the per-frame digest cache: the run may compute at
+  // most total_msgs_sent / msgs_per_digest + slack SHA-256 digests. The
+  // slack absorbs a run's fixed hashing, which does not grow with the
+  // message count, so a preset can bound the ratio tightly at every size.
+  struct DigestBound {
+    std::uint64_t msgs_per_digest = 25;
+    std::uint64_t slack = 0;
+  };
+  DigestBound digest_bound;
 
   // ----- telemetry (ISSUE 9) -----
   // > 0: sample the system's obs::Registry every interval of sim-time and

@@ -146,7 +146,12 @@ class RequestLedger {
   // the watermark into it.
   bool insert(NodeId origin, std::uint64_t seq) {
     OriginState& st = origins_[origin];
-    if (seq <= st.low || !st.above.insert(seq).second) return false;
+    if (seq <= st.low) return false;
+    if (seq == st.low + 1 && st.above.empty()) {
+      ++st.low;  // in order, the common case: no set node to allocate
+      return true;
+    }
+    if (!st.above.insert(seq).second) return false;
     while (st.above.contains(st.low + 1)) {
       st.above.erase(st.low + 1);
       ++st.low;

@@ -453,6 +453,34 @@ TEST_F(CoreFixture, UnresponsiveNodeIsEvicted) {
   }
 }
 
+// The heartbeat record follows reconfigurations: after a leave and an
+// admission, every member watches exactly its current peers (the leaver's
+// entry is gone, the joiner's starts at admission) and no correct member
+// is suspected over the next 10 heartbeat periods.
+TEST_F(CoreFixture, HeartbeatRecordFollowsLeaveAndJoin) {
+  deploy(12);
+  run_for(seconds(5));  // 25 periods: a stale record entry would be overdue
+  sys->node(5).leave();
+  auto& j = sys->add_node(100);
+  j.join(0);
+  run_for(seconds(60));
+  ASSERT_FALSE(sys->node(5).joined());
+  ASSERT_TRUE(j.joined());
+
+  auto before = sys->group_map();
+  run_for(10 * fast_params().heartbeat_period);
+  auto after = sys->group_map();
+  EXPECT_EQ(after, before) << "a correct member was evicted";
+  std::size_t total = 0;
+  for (const auto& [g, members] : after) {
+    total += members.size();
+    for (NodeId m : members) {
+      EXPECT_EQ(sys->node(m).heartbeat_record_size(), members.size()) << "member " << m;
+    }
+  }
+  EXPECT_EQ(total, 12u);
+}
+
 TEST_F(CoreFixture, ByzantineEvictorCannotRemoveCorrectNodes) {
   // §6.1.3: Byzantine nodes propose evicting all correct peers; the f+1
   // accusation quorum makes this harmless.

@@ -288,6 +288,67 @@ TEST_F(GmFixture, ReevaluateDeliversBufferedIdsInIdOrder) {
   }
 }
 
+// A table holding only delivered ids (kept for dedup) has nothing to
+// re-check: reevaluate delivers nothing and leaves the table as it was.
+TEST_F(GmFixture, ReevaluateOnAllDeliveredTableDeliversNothing) {
+  make_receiver();
+  constexpr std::uint64_t kIds = 300;
+  for (std::uint64_t seq = 1; seq <= kIds; ++seq) {
+    for (NodeId s : group_a) {
+      net::Transport t(net, s);
+      send_group_message(t, group_a, GroupMessageId{50, seq}, {receiver}, Bytes{0x3C}, rng);
+    }
+  }
+  sim.run();
+  ASSERT_EQ(delivered.size(), kIds);
+  ASSERT_EQ(rx->pending_count(), 0u);
+  ASSERT_EQ(rx->delivered_dedup_count(), kIds);
+
+  rx->reevaluate();
+  EXPECT_EQ(delivered.size(), kIds);
+  EXPECT_EQ(rx->pending_count(), 0u);
+  EXPECT_EQ(rx->delivered_dedup_count(), kIds);
+}
+
+// One id buffering behind hundreds of delivered ones: once its sender
+// group's size is known, reevaluate delivers exactly that id, exactly once.
+TEST_F(GmFixture, ReevaluateFindsTheOneBufferedIdAmongDeliveredHistory) {
+  make_receiver();
+  bool known = false;
+  rx->set_group_size_fn([&known](GroupId g) -> std::optional<std::size_t> {
+    if (g == 60 && !known) return std::nullopt;
+    return 5;
+  });
+  constexpr std::uint64_t kIds = 300;
+  auto send_id = [this](GroupMessageId id) {
+    for (NodeId s : group_a) {
+      net::Transport t(net, s);
+      send_group_message(t, group_a, id, {receiver}, Bytes{0x4D}, rng);
+    }
+  };
+  for (std::uint64_t seq = 1; seq <= kIds / 2; ++seq) send_id(GroupMessageId{50, seq});
+  const GroupMessageId buffered{60, 77};
+  send_id(buffered);
+  for (std::uint64_t seq = kIds / 2 + 1; seq <= kIds; ++seq) send_id(GroupMessageId{50, seq});
+  sim.run();
+  ASSERT_EQ(delivered.size(), kIds);
+  ASSERT_EQ(rx->pending_count(), 1u);
+
+  rx->reevaluate();  // size still unknown: keeps buffering
+  EXPECT_EQ(delivered.size(), kIds);
+  EXPECT_EQ(rx->pending_count(), 1u);
+
+  known = true;
+  rx->reevaluate();
+  ASSERT_EQ(delivered.size(), kIds + 1);
+  EXPECT_EQ(delivered.back().first, buffered);
+  EXPECT_EQ(rx->pending_count(), 0u);
+  EXPECT_EQ(rx->delivered_dedup_count(), kIds + 1);
+
+  rx->reevaluate();
+  EXPECT_EQ(delivered.size(), kIds + 1) << "buffered id delivered twice";
+}
+
 // A sender group that equivocates (node 3 vouches for two contents, each
 // backed by a majority of 5) delivers exactly one of them: the lower
 // digest, regardless of which content arrived first.

@@ -99,6 +99,34 @@ struct CkptGroup {
   }
 };
 
+// The ledger's in-order fast path (advance the watermark, no sparse set)
+// and its out-of-order path end in the same state and the same encoding.
+TEST(RequestLedger, InOrderAndOutOfOrderInsertsAgree) {
+  RequestLedger in_order, reversed, mixed;
+  for (std::uint64_t s = 1; s <= 10; ++s) EXPECT_TRUE(in_order.insert(7, s));
+  for (std::uint64_t s = 10; s >= 1; --s) EXPECT_TRUE(reversed.insert(7, s));
+  for (std::uint64_t s : {1, 2, 5, 3, 4, 6, 9, 7, 8, 10}) EXPECT_TRUE(mixed.insert(7, s));
+  EXPECT_EQ(in_order, reversed);
+  EXPECT_EQ(in_order, mixed);
+  ByteWriter a, b;
+  in_order.encode(a);
+  reversed.encode(b);
+  EXPECT_EQ(a.data(), b.data());
+
+  EXPECT_FALSE(in_order.insert(7, 4));   // below the watermark
+  EXPECT_FALSE(in_order.insert(7, 10));  // the watermark itself
+  EXPECT_TRUE(in_order.contains(7, 10));
+  EXPECT_FALSE(in_order.contains(7, 11));
+  EXPECT_TRUE(in_order.insert(7, 12));   // a gap: kept sparse
+  EXPECT_FALSE(in_order.insert(7, 12));
+  EXPECT_FALSE(in_order.contains(7, 11));
+  EXPECT_TRUE(in_order.insert(7, 11));   // fills the gap, folds 12 in
+  EXPECT_TRUE(in_order.contains(7, 12));
+
+  ByteReader r(b.data());
+  EXPECT_EQ(RequestLedger::decode(r), reversed);
+}
+
 // The memory bound, asserted: 200 sequential ops with batch_max_ops=1 fill
 // 200 log slots; with interval 4 / window 16 the retained history must
 // never exceed the window and the base must have advanced far past zero.
