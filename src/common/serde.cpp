@@ -2,19 +2,6 @@
 
 namespace atum {
 
-void ByteWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
 void ByteWriter::f64(double v) {
   std::uint64_t bits;
   static_assert(sizeof(bits) == sizeof(v));
@@ -23,24 +10,21 @@ void ByteWriter::f64(double v) {
 }
 
 void ByteWriter::varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf_.push_back(static_cast<std::uint8_t>(v));
+  std::uint8_t* p = extend(varint_size(v));
+  for (; v >= 0x80; v >>= 7) *p++ = static_cast<std::uint8_t>(v) | 0x80;
+  *p = static_cast<std::uint8_t>(v);
 }
 
-void ByteWriter::bytes(const Bytes& b) {
-  varint(b.size());
-  buf_.insert(buf_.end(), b.begin(), b.end());
-}
+void ByteWriter::bytes(const Bytes& b) { bytes(b.data(), b.size()); }
 
 void ByteWriter::bytes(const std::uint8_t* p, std::size_t n) {
   varint(n);
-  buf_.insert(buf_.end(), p, p + n);
+  raw(p, n);
 }
 
-void ByteWriter::raw(const std::uint8_t* p, std::size_t n) { buf_.insert(buf_.end(), p, p + n); }
+void ByteWriter::raw(const std::uint8_t* p, std::size_t n) {
+  if (n != 0) std::memcpy(extend(n), p, n);
+}
 
 void ByteWriter::str(std::string_view s) {
   varint(s.size());

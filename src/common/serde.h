@@ -25,12 +25,29 @@ class SerdeError : public std::runtime_error {
   explicit SerdeError(const std::string& what) : std::runtime_error(what) {}
 };
 
+// Bytes varint(v) writes: one per started 7-bit group.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+// Writes integers as whole little-endian words and grows its buffer by
+// doubling from a small reserved capacity, so a typical protocol frame is
+// written with one allocation and handed on by take() without a copy.
 class ByteWriter {
  public:
+  // Room for the fixed header of most frames (tags, seqs, one digest).
+  static constexpr std::size_t kDefaultCapacity = 64;
+
+  ByteWriter() : ByteWriter(kDefaultCapacity) {}
+  // `capacity`: the expected frame size, when the caller knows it.
+  explicit ByteWriter(std::size_t capacity) { buf_.reserve(capacity); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u16(std::uint16_t v) { put_le(v); }
+  void u32(std::uint32_t v) { put_le(v); }
+  void u64(std::uint64_t v) { put_le(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v);
   // LEB128 variable-length unsigned integer; compact for small counts.
@@ -47,10 +64,29 @@ class ByteWriter {
   }
 
   const Bytes& data() const { return buf_; }
-  Bytes take() { return std::move(buf_); }
+  // Hands the buffer over and leaves the writer empty.
+  Bytes take() {
+    Bytes out = std::move(buf_);
+    buf_.clear();
+    return out;
+  }
   std::size_t size() const { return buf_.size(); }
 
  private:
+  // Appends n bytes and returns where they start.
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+  // One store per integer: the compiler merges the byte writes into a
+  // single little-endian word store.
+  template <typename U>
+  void put_le(U v) {
+    std::uint8_t* p = extend(sizeof(U));
+    for (std::size_t i = 0; i < sizeof(U); ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+
   Bytes buf_;
 };
 

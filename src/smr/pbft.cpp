@@ -23,12 +23,6 @@ crypto::Digest read_digest(ByteReader& r) {
   return d;
 }
 
-std::size_t varint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  for (; v >= 0x80; v >>= 7) ++n;
-  return n;
-}
-
 // One link of the state-digest chain: SHA-256(state || rd), two blocks
 // whatever the record's size.
 crypto::Digest fold(const crypto::Digest& state, const crypto::Digest& rd) {
@@ -69,6 +63,8 @@ PbftSmr::PbftSmr(net::Transport transport, GroupConfig config, crypto::KeyStore&
     for (NodeId n : config_.members) tw.u64(n);
     instance_tag_ = crypto::digest_prefix64(crypto::sha256(tw.data()));
   }
+  self_rank_ = config_.contains(transport_.self()) ? config_.index_of(transport_.self())
+                                                   : config_.size();
   if (options_.metrics != nullptr) {
     obs::Registry& m = *options_.metrics;
     ctr_pre_prepares_ = &m.counter("smr.pre_prepares");
@@ -121,7 +117,7 @@ bool PbftSmr::faulty_now() const {
   return false;
 }
 
-void PbftSmr::encode_ops_region(ByteWriter& w, const std::vector<Request>& batch) {
+void PbftSmr::encode_ops_region(ByteWriter& w, std::span<const Request> batch) {
   w.varint(batch.size());
   for (const Request& req : batch) {
     w.u64(req.id.origin);
@@ -130,14 +126,20 @@ void PbftSmr::encode_ops_region(ByteWriter& w, const std::vector<Request>& batch
   }
 }
 
-std::vector<PbftSmr::Request> PbftSmr::parse_ops_region(
-    const net::Payload& frame, std::span<const std::uint8_t> region) {
+std::size_t PbftSmr::ops_region_size(std::span<const Request> batch) {
+  std::size_t n = varint_size(batch.size());
+  for (const Request& req : batch) n += 16 + varint_size(req.op.size()) + req.op.size();
+  return n;
+}
+
+void PbftSmr::parse_ops_region(const net::Payload& frame, std::span<const std::uint8_t> region,
+                               std::vector<Request>& batch) {
+  batch.clear();
   ByteReader r(region.data(), region.size());
   std::uint64_t count = r.varint();
   // Each op is at least 17 bytes; a Byzantine count far beyond the bytes
   // present must fail as malformed before any reserve.
   if (count > r.remaining()) throw SerdeError("ops region count exceeds buffer");
-  std::vector<Request> batch;
   batch.reserve(static_cast<std::size_t>(count));
   std::size_t canonical = varint_size(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -156,18 +158,50 @@ std::vector<PbftSmr::Request> PbftSmr::parse_ops_region(
   // Only the canonical bytes may carry the batch digest: execution folds
   // that digest as the record digest of the batch (see execute_entry).
   if (canonical != region.size()) throw SerdeError("non-canonical ops region");
-  return batch;
 }
 
-Bytes PbftSmr::tagged(const Bytes& body) const {
-  ByteWriter w;
+ByteWriter PbftSmr::frame_writer(std::size_t body_size) const {
+  ByteWriter w(8 + body_size);
   w.u64(instance_tag_);
-  w.raw(body.data(), body.size());
+  return w;
+}
+
+std::pair<Bytes, crypto::Digest> PbftSmr::pre_prepare_frame(std::uint64_t view, std::uint64_t seq,
+                                                            std::span<const Request> batch) const {
+  const std::size_t region = ops_region_size(batch);
+  ByteWriter w = frame_writer(16 + crypto::Digest{}.size() + varint_size(region) + region);
+  w.u64(view);
+  w.u64(seq);
+  const std::size_t digest_at = w.size();
+  write_digest(w, crypto::Digest{});  // patched below, once the region is hashed
+  w.varint(region);
+  const std::size_t region_at = w.size();
+  encode_ops_region(w, batch);
+  Bytes frame = w.take();
+  const crypto::Digest digest = crypto::sha256(frame.data() + region_at, region);
+  std::copy(digest.begin(), digest.end(), frame.begin() + static_cast<std::ptrdiff_t>(digest_at));
+  return {std::move(frame), digest};
+}
+
+Bytes PbftSmr::request_frame(const Request& req) const {
+  ByteWriter w = frame_writer(16 + varint_size(req.op.size()) + req.op.size());
+  w.u64(req.id.origin);
+  w.u64(req.id.seq);
+  w.bytes(req.op.data(), req.op.size());
   return w.take();
 }
 
-void PbftSmr::broadcast(net::MsgType type, const Bytes& payload, bool include_self) {
-  net::Payload frozen(tagged(payload));  // one buffer shared by every replica
+Bytes PbftSmr::vote_frame(std::uint64_t view, std::uint64_t seq,
+                          const crypto::Digest& digest) const {
+  ByteWriter w = frame_writer(16 + digest.size());
+  w.u64(view);
+  w.u64(seq);
+  write_digest(w, digest);
+  return w.take();
+}
+
+void PbftSmr::broadcast(net::MsgType type, Bytes frame, bool include_self) {
+  const net::Payload frozen(std::move(frame));  // one buffer shared by every replica
   for (NodeId peer : config_.members) {
     if (peer == transport_.self()) continue;
     transport_.send(peer, type, frozen);
@@ -175,6 +209,13 @@ void PbftSmr::broadcast(net::MsgType type, const Bytes& payload, bool include_se
   if (include_self) {
     transport_.send(transport_.self(), type, frozen);
   }
+}
+
+void PbftSmr::sign_and_broadcast(net::MsgType type, ByteWriter frame) {
+  const Bytes& b = frame.data();
+  const crypto::Signature sig = keys_.key_of(transport_.self()).sign(b.data() + 8, b.size() - 8);
+  frame.raw(sig.data(), sig.size());
+  broadcast(type, frame.take());
 }
 
 // ---------------------------------------------------------------------------
@@ -189,13 +230,9 @@ void PbftSmr::propose(Bytes op) {
     trace(obs::TracePoint::kPropose, crypto::digest_prefix64(req.op.digest()), req.id.seq);
   }
 
-  ByteWriter w;
-  w.u64(req.id.origin);
-  w.u64(req.id.seq);
-  w.bytes(req.op.data(), req.op.size());
-  broadcast(net::MsgType::kPbftRequest, w.data());
+  broadcast(net::MsgType::kPbftRequest, request_frame(req));
 
-  pending_[req.id] = req.op;
+  pending_put(req);
   if (is_primary() && !view_changing_) {
     enqueue_op(req);
   }
@@ -212,7 +249,7 @@ void PbftSmr::handle_request(const net::Message& msg) {
   if (!config_.contains(req.id.origin)) return;
   if (assigned_or_executed_.contains(req.id.origin, req.id.seq)) return;
 
-  pending_[req.id] = req.op;
+  pending_put(req);
   if (is_primary() && !view_changing_) {
     enqueue_op(req);
   }
@@ -285,34 +322,21 @@ void PbftSmr::flush_batch() {
       bytes += batch_buf_[count].op.size();
       ++count;
     }
-    std::vector<Request> batch(std::make_move_iterator(batch_buf_.begin()),
-                               std::make_move_iterator(batch_buf_.begin() + static_cast<long>(count)));
+    const std::uint64_t seq = next_seq_++;
+    LogEntry& entry = log_.at(seq);
+    entry.batch.assign(std::make_move_iterator(batch_buf_.begin()),
+                       std::make_move_iterator(batch_buf_.begin() + static_cast<long>(count)));
     batch_buf_.erase(batch_buf_.begin(), batch_buf_.begin() + static_cast<long>(count));
-    std::uint64_t seq = next_seq_++;
-    for (const Request& r : batch) assigned_or_executed_.insert(r.id.origin, r.id.seq);
+    for (const Request& r : entry.batch) assigned_or_executed_.insert(r.id.origin, r.id.seq);
     // NOTE: the requests stay in pending_ until EXECUTED — the view-change
     // timer watches pending_, and an assigned-but-never-committed request
     // must still be able to trigger a view change.
 
-    // Encodes the ops region of `b` once and hashes it once: the
-    // pre-prepare body and the batch digest it carries.
-    auto encode = [&](const std::vector<Request>& b) {
-      ByteWriter ow;
-      encode_ops_region(ow, b);
-      const crypto::Digest digest = crypto::sha256(ow.data());
-      ByteWriter w;
-      w.u64(view_);
-      w.u64(seq);
-      write_digest(w, digest);
-      w.bytes(ow.data());
-      return std::pair{w.take(), digest};
-    };
-    const auto [body, d] = encode(batch);
-
-    LogEntry& entry = log_[seq];
+    // The ops region is encoded once, into the frame, and hashed once: the
+    // pre-prepare and the batch digest it carries.
+    auto [frame, d] = pre_prepare_frame(view_, seq, entry.batch);
     entry.view = view_;
     entry.digest = d;
-    entry.batch = std::move(batch);
     entry.pre_prepared = true;
 
     if (fault_ == PbftFaultMode::kEquivocatePrimary) {
@@ -323,7 +347,7 @@ void PbftSmr::flush_batch() {
       Bytes alt_op = alt.front().op.to_bytes();
       alt_op.push_back(0xFF);
       alt.front().op = net::Payload(std::move(alt_op));
-      net::Payload wire_a(tagged(body)), wire_b(tagged(encode(alt).first));
+      const net::Payload wire_a(std::move(frame)), wire_b(pre_prepare_frame(view_, seq, alt).first);
       std::size_t half = config_.size() / 2;
       for (std::size_t i = 0; i < config_.size(); ++i) {
         if (config_.members[i] == transport_.self()) continue;
@@ -335,7 +359,7 @@ void PbftSmr::flush_batch() {
 
     if (ctr_pre_prepares_ != nullptr) ctr_pre_prepares_->inc();
     trace(obs::TracePoint::kPrePrepare, crypto::digest_prefix64(d), seq, entry.batch.size());
-    broadcast(net::MsgType::kPbftPrePrepare, body);
+    broadcast(net::MsgType::kPbftPrePrepare, std::move(frame));
     maybe_send_prepare(seq);
   }
   flushing_ = false;
@@ -357,7 +381,8 @@ void PbftSmr::handle_pre_prepare(const net::Message& msg) {
   // Zero-copy: every op stays a slice of the pre-prepare frame. Every
   // replica shares the primary's one frozen buffer, so the whole group
   // logs, executes, and decides this batch without materializing a copy.
-  std::vector<Request> batch = parse_ops_region(msg.payload, ops_region);
+  std::vector<Request> batch;
+  parse_ops_region(msg.payload, ops_region, batch);
 
   if (view > view_ || (view == view_ && view_changing_)) {
     // Also buffer current-view traffic while mid-view-change: the change
@@ -382,15 +407,15 @@ void PbftSmr::handle_pre_prepare(const net::Message& msg) {
         assigned_or_executed_.contains(req.id.origin, req.id.seq)) {
       continue;
     }
-    auto pit = pending_.find(req.id);
+    auto pit = pending_find(req.id);
     if (pit == pending_.end()) {
       stashed_pre_prepares_[req.id] = msg;
       return;
     }
-    if (pit->second != req.op) return;  // forged content: ignore
+    if (pit->op != req.op) return;  // forged content: ignore
   }
 
-  LogEntry& entry = log_[seq];
+  LogEntry& entry = log_.at(seq);
   if (entry.pre_prepared) {
     if (entry.view == view && entry.digest != digest) return;  // equivocation: ignore
     if (entry.view == view) return;                            // duplicate
@@ -404,19 +429,15 @@ void PbftSmr::handle_pre_prepare(const net::Message& msg) {
   }
   // The requests remain pending_ until executed (liveness timer input).
 
-  ByteWriter w;
-  w.u64(view);
-  w.u64(seq);
-  write_digest(w, digest);
   if (ctr_prepares_ != nullptr) ctr_prepares_->inc();
   trace(obs::TracePoint::kPrepare, crypto::digest_prefix64(digest), seq, entry.batch.size());
-  broadcast(net::MsgType::kPbftPrepare, w.data());
-  entry.prepares.insert(transport_.self());
+  broadcast(net::MsgType::kPbftPrepare, vote_frame(view, seq, digest));
+  entry.prepares.insert(self_rank_);
   maybe_send_commit(seq);
   arm_view_timer();
 }
 
-void PbftSmr::handle_prepare(const net::Message& msg) {
+void PbftSmr::handle_prepare(const net::Message& msg, std::size_t from_rank) {
   ByteReader r(msg.payload);
   std::uint64_t view = r.u64();
   std::uint64_t seq = r.u64();
@@ -427,60 +448,54 @@ void PbftSmr::handle_prepare(const net::Message& msg) {
   }
   if (view != view_ || !in_window(seq)) return;
 
-  LogEntry& entry = log_[seq];
+  LogEntry& entry = log_.at(seq);
   if (entry.pre_prepared && entry.digest != digest) return;
-  entry.prepares.insert(msg.from);
+  entry.prepares.insert(from_rank);
   maybe_send_commit(seq);
 }
 
 void PbftSmr::maybe_send_prepare(std::uint64_t seq) {
   // The primary's pre-prepare acts as its prepare.
-  LogEntry& entry = log_[seq];
-  entry.prepares.insert(transport_.self());
+  log_.at(seq).prepares.insert(self_rank_);
   maybe_send_commit(seq);
 }
 
 void PbftSmr::maybe_send_commit(std::uint64_t seq) {
-  LogEntry& entry = log_[seq];
+  LogEntry& entry = log_.at(seq);
   // Prepared: pre-prepare + 2f prepares (from distinct replicas, self incl).
   if (!entry.pre_prepared) return;
-  if (entry.commits.contains(transport_.self())) return;
+  if (entry.commits.contains(self_rank_)) return;
   if (entry.prepares.size() < 2 * max_faults()) return;
 
-  ByteWriter w;
-  w.u64(view_);
-  w.u64(seq);
-  write_digest(w, entry.digest);
   if (ctr_commits_ != nullptr) ctr_commits_->inc();
   trace(obs::TracePoint::kCommit, crypto::digest_prefix64(entry.digest), seq);
-  broadcast(net::MsgType::kPbftCommit, w.data());
-  entry.commits.insert(transport_.self());
+  broadcast(net::MsgType::kPbftCommit, vote_frame(view_, seq, entry.digest));
+  entry.commits.insert(self_rank_);
   try_execute();
 }
 
-void PbftSmr::handle_commit(const net::Message& msg) {
+void PbftSmr::handle_commit(const net::Message& msg, std::size_t from_rank) {
   ByteReader r(msg.payload);
   std::uint64_t view = r.u64();
   std::uint64_t seq = r.u64();
   crypto::Digest digest = read_digest(r);
   if (!in_window(seq)) return;
 
-  LogEntry& entry = log_[seq];
+  LogEntry& entry = log_.at(seq);
   if (entry.pre_prepared && entry.digest != digest) return;
   (void)view;  // commits from any view count once the digest matches
-  entry.commits.insert(msg.from);
+  entry.commits.insert(from_rank);
   try_execute();
 }
 
 void PbftSmr::try_execute() {
   while (true) {
-    auto it = log_.find(next_exec_ + 1);
-    if (it == log_.end()) break;
-    LogEntry& entry = it->second;
-    bool committed = entry.pre_prepared && entry.prepares.size() >= 2 * max_faults() &&
-                     entry.commits.size() >= quorum();
+    const LogEntry* entry = log_.find(next_exec_ + 1);
+    if (entry == nullptr) break;
+    bool committed = entry->pre_prepared && entry->prepares.size() >= 2 * max_faults() &&
+                     entry->commits.size() >= quorum();
     if (!committed) break;
-    execute_entry(next_exec_ + 1, entry);
+    execute_entry(next_exec_ + 1, *entry);
   }
   maybe_fetch_missing_head();
 }
@@ -492,8 +507,8 @@ void PbftSmr::maybe_fetch_missing_head() {
   // replica's attachment (state-synced joiner) or was lost to a partition.
   // Evidence required before fetching: quorum commits on some entry at or
   // beyond the head, proving the instance decided it without us.
-  auto head = log_.find(next_exec_ + 1);
-  if (head != log_.end() && head->second.pre_prepared) return;  // normal path
+  const LogEntry* head = log_.find(next_exec_ + 1);
+  if (head != nullptr && head->pre_prepared) return;  // normal path
   // Rate limit and round bound BEFORE the anchor scan: with a gap open,
   // try_execute runs on every prepare/commit and the O(window) scan below
   // must not ride the message hot path. Rounds are finite so a permanent
@@ -505,10 +520,9 @@ void PbftSmr::maybe_fetch_missing_head() {
   if (now - last_head_fetch_ < options_.view_change_timeout) return;
   if (head_fetch_rounds_ >= kMaxHeadFetchRounds) return;
   std::uint64_t anchor = 0;  // first quorum-committed seq at/beyond the head
-  for (auto it = head != log_.end() ? head : log_.upper_bound(next_exec_ + 1);
-       it != log_.end(); ++it) {
-    if (it->second.commits.size() >= quorum()) {
-      anchor = it->first;
+  for (std::uint64_t seq = std::max(next_exec_, log_.base()) + 1; seq <= log_.top(); ++seq) {
+    if (log_.find(seq)->commits.size() >= quorum()) {
+      anchor = seq;
       break;
     }
   }
@@ -551,7 +565,7 @@ void PbftSmr::execute_entry(std::uint64_t seq, const LogEntry& entry) {
   // its record digest. A null filler (its digest is all-zero, never
   // hashed) or a record with a null op is hashed from its own encoding.
   const crypto::Digest rd = entry.batch.empty() || nulled ? record_digest(rec) : entry.digest;
-  apply_record(seq, rec, fold(state_digest_, rd));
+  apply_record(seq, std::move(rec), fold(state_digest_, rd));
   maybe_stabilize();
   // Progress was made: withdraw any view change this replica started out of
   // lag, then restart (or, with nothing pending, disarm) the liveness timer.
@@ -561,8 +575,7 @@ void PbftSmr::execute_entry(std::uint64_t seq, const LogEntry& entry) {
   arm_view_timer();
 }
 
-void PbftSmr::apply_record(std::uint64_t seq, const ExecRecord& rec,
-                           const crypto::Digest& state_after) {
+void PbftSmr::apply_record(std::uint64_t seq, ExecRecord rec, const crypto::Digest& state_after) {
   // Ordering matters: advance the state digest, count the record's fresh
   // ops, and capture the checkpoint at a boundary BEFORE any decide
   // callback runs — a callback may propose and (with tiny quorums) execute
@@ -576,17 +589,20 @@ void PbftSmr::apply_record(std::uint64_t seq, const ExecRecord& rec,
     if (op.origin == kNullOrigin) continue;
     if (executed_requests_.insert(op.origin, op.origin_seq)) ++fresh_ops;
     assigned_or_executed_.insert(op.origin, op.origin_seq);
-    pending_.erase(RequestId{op.origin, op.origin_seq});
   }
+  drop_executed_pending();
   executed_ops_ += fresh_ops;
   if (ctr_batches_ != nullptr) ctr_batches_->inc();
   if (hist_batch_ops_ != nullptr) hist_batch_ops_->record(fresh_ops);
   next_exec_ = seq;
   head_fetch_rounds_ = 0;  // progress: future gaps get fresh fetch rounds
-  log_[seq].record = rec;
+  log_.at(seq).executed = true;
   if (seq % options_.checkpoint_interval == 0) send_checkpoint(seq);
-  // The decides read `rec`, which the caller owns: a nested execution may
-  // collect this slot under us.
+  // The decides read `rec`, which this call owns: a nested execution may
+  // collect this slot under us, or reuse it for a later seq. The record
+  // moves into its slot once they are done, if the slot is still live;
+  // only message handlers read a slot's record, and none runs inside a
+  // decide callback.
   for (const ExecOp& op : rec.ops) {
     if (op.origin == kNullOrigin) continue;
     // Zero-copy async decide: the op is a refcounted slice of the frame it
@@ -600,11 +616,38 @@ void PbftSmr::apply_record(std::uint64_t seq, const ExecRecord& rec,
     }
     if (decide_) decide_(decided_ops_ - 1, op.origin, op.op);
   }
+  if (LogEntry* slot = log_.find(seq)) slot->record = std::move(rec);
 }
 
-std::size_t PbftSmr::history_size() const {
-  return static_cast<std::size_t>(std::count_if(
-      log_.begin(), log_.end(), [](const auto& slot) { return slot.second.record.has_value(); }));
+std::size_t PbftSmr::records_held() const {
+  std::size_t n = 0;
+  for (std::uint64_t seq = log_.base() + 1; seq <= log_.top(); ++seq) n += log_.find(seq)->executed;
+  return n;
+}
+
+std::vector<PbftSmr::Request>::iterator PbftSmr::pending_lower_bound(const RequestId& id) {
+  return std::lower_bound(pending_.begin(), pending_.end(), id,
+                          [](const Request& r, const RequestId& key) { return r.id < key; });
+}
+
+std::vector<PbftSmr::Request>::iterator PbftSmr::pending_find(const RequestId& id) {
+  auto it = pending_lower_bound(id);
+  return it != pending_.end() && it->id == id ? it : pending_.end();
+}
+
+void PbftSmr::pending_put(const Request& req) {
+  auto it = pending_lower_bound(req.id);
+  if (it != pending_.end() && it->id == req.id) {
+    it->op = req.op;
+  } else {
+    pending_.insert(it, req);
+  }
+}
+
+void PbftSmr::drop_executed_pending() {
+  std::erase_if(pending_, [&](const Request& req) {
+    return executed_requests_.contains(req.id.origin, req.id.seq);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -632,13 +675,17 @@ crypto::Digest PbftSmr::record_digest(const ExecRecord& rec) {
 
 // Checkpoint body CB(seq) — the full wire message AND the thing voted on
 // (votes store the SHA-256 of these bytes).
-Bytes PbftSmr::Checkpoint::body() const {
-  ByteWriter w;
+void PbftSmr::Checkpoint::write_body(ByteWriter& w) const {
   w.u64(seq);
   write_digest(w, state_digest);
   w.u64(ops);
   w.bytes(ledger_wire);
-  return w.take();
+}
+
+crypto::Digest PbftSmr::Checkpoint::body_digest() const {
+  ByteWriter w(body_size());
+  write_body(w);
+  return crypto::sha256(w.data());
 }
 
 std::size_t PbftSmr::votes_for(std::uint64_t seq, const crypto::Digest& d) const {
@@ -652,10 +699,12 @@ void PbftSmr::send_checkpoint(std::uint64_t seq) {
   ByteWriter lw;
   executed_requests_.encode(lw);
   Checkpoint ckpt{seq, state_digest_, executed_ops_, lw.take()};
-  Bytes body = ckpt.body();
-  crypto::Digest d = crypto::sha256(body);
-  log_[seq].own_ckpt = std::move(ckpt);
-  broadcast(net::MsgType::kPbftCheckpoint, body);
+  ByteWriter w = frame_writer(ckpt.body_size());
+  ckpt.write_body(w);
+  Bytes frame = w.take();
+  const crypto::Digest d = crypto::sha256(frame.data() + 8, frame.size() - 8);  // after the tag
+  own_ckpts_.push_back(std::move(ckpt));
+  broadcast(net::MsgType::kPbftCheckpoint, std::move(frame));
   checkpoints_[seq][transport_.self()] = d;
   // Stabilization (our vote may complete a quorum) is NOT checked here:
   // send_checkpoint runs before the boundary record's decides fire, and
@@ -712,15 +761,16 @@ void PbftSmr::collect_garbage(std::uint64_t stable_seq) {
   stable_seq_ = stable_seq;
   if (ctr_checkpoints_ != nullptr) ctr_checkpoints_->inc();
   // Promote our capture of this boundary to the served stable checkpoint
-  // (install_checkpoint sets stable_ckpt_ itself; it holds no such slot).
-  if (auto it = log_.find(stable_seq); it != log_.end() && it->second.own_ckpt) {
-    stable_ckpt_ = std::move(it->second.own_ckpt);
-  }
-  // The memory bound: every slot at or below the stable checkpoint leaves
-  // the log, executed record and all (unpinning its batch frames).
+  // (install_checkpoint sets stable_ckpt_ itself; it holds no such capture).
+  auto own = std::find_if(own_ckpts_.begin(), own_ckpts_.end(),
+                          [&](const Checkpoint& c) { return c.seq >= stable_seq; });
+  if (own != own_ckpts_.end() && own->seq == stable_seq) stable_ckpt_ = std::move(*own++);
+  own_ckpts_.erase(own_ckpts_.begin(), own);
+  // The memory bound: every slot at or below the stable checkpoint is
+  // reset, executed record and all (unpinning its batch frames).
   // in_window caps next_exec_ at stable_seq_ + watermark_window, so the log
   // never holds more than watermark_window records.
-  log_.erase(log_.begin(), log_.lower_bound(stable_seq + 1));
+  log_.truncate_through(stable_seq);
   checkpoints_.erase(checkpoints_.begin(), checkpoints_.upper_bound(stable_seq));
   // Requests stuck behind the window may now be assignable (and a batch
   // flush that stalled against the window can retry).
@@ -728,16 +778,18 @@ void PbftSmr::collect_garbage(std::uint64_t stable_seq) {
 }
 
 void PbftSmr::reenqueue_pending() {
-  auto pending_copy = pending_;
-  for (const auto& [id, op] : pending_copy) {
-    enqueue_op(Request{id, op});
-  }
+  // Walk a snapshot: enqueueing can flush, execute, and so erase from
+  // pending_ under the walk.
+  std::vector<Request> snapshot = std::move(reenqueue_scratch_);
+  snapshot.assign(pending_.begin(), pending_.end());
+  for (const Request& req : snapshot) enqueue_op(req);
+  snapshot.clear();
+  reenqueue_scratch_ = std::move(snapshot);
   flush_batch();
 }
 
 net::Payload PbftSmr::state_fetch_frame(std::uint64_t upto) const {
-  ByteWriter w;
-  w.u64(instance_tag_);
+  ByteWriter w = frame_writer(16);
   w.u64(next_exec_);
   w.u64(upto);
   return net::Payload(w.take());
@@ -758,9 +810,10 @@ void PbftSmr::request_state_transfer() {
 
 void PbftSmr::encode_records(ByteWriter& w, std::uint64_t after, std::uint64_t upto) const {
   w.varint(upto - after);
-  for (auto it = log_.upper_bound(after); it != log_.end() && it->first <= upto; ++it) {
-    assert(it->second.record);
-    encode_exec_record(w, *it->second.record);
+  for (std::uint64_t seq = after + 1; seq <= upto; ++seq) {
+    const LogEntry* slot = log_.find(seq);
+    assert(slot != nullptr && slot->executed);
+    encode_exec_record(w, slot->record);
   }
 }
 
@@ -792,8 +845,7 @@ void PbftSmr::handle_state_fetch(const net::Message& msg) {
     if (!stable_ckpt_) return;
     w.u8(kStateReplyInstall);
     w.u64(from_seq);  // echoed so the fetcher can match reply to request
-    const Bytes body = stable_ckpt_->body();
-    w.raw(body.data(), body.size());
+    stable_ckpt_->write_body(w);
     encode_records(w, base, next_exec_);
   }
   transport_.send(msg.from, net::MsgType::kPbftStateReply, w.take());
@@ -868,7 +920,7 @@ std::uint64_t PbftSmr::validate_chain(const std::vector<ExecRecord>& entries,
     ByteWriter lw;
     ledger.encode(lw);
     const Checkpoint implied{seq, digest, ops, lw.take()};
-    if (votes_for(seq, crypto::sha256(implied.body())) >= max_faults() + 1) best = seq;
+    if (votes_for(seq, implied.body_digest()) >= max_faults() + 1) best = seq;
   }
   chain.resize(best > next_exec_ ? static_cast<std::size_t>(best - next_exec_) : 0);
   return best;
@@ -927,7 +979,7 @@ void PbftSmr::handle_state_reply(const net::Message& msg) {
   // The checkpoint is trusted only against evidence: either f+1 votes on
   // exactly this body (the normal request_state_transfer path — the votes
   // are what triggered the fetch), or f+1 byte-identical whole replies.
-  const bool ckpt_vouched = votes_for(cseq, crypto::sha256(ckpt.body())) >= max_faults() + 1;
+  const bool ckpt_vouched = votes_for(cseq, ckpt.body_digest()) >= max_faults() + 1;
   if (!ckpt_vouched && !reply_vouched(msg)) return;
 
   install_checkpoint(std::move(ckpt), std::move(ledger));
@@ -974,13 +1026,7 @@ void PbftSmr::install_checkpoint(Checkpoint ckpt, RequestLedger ledger) {
   // here; worst case the primary re-assigns such a request and execution
   // dedups it against the ledger — a null op, not a double delivery.
   assigned_or_executed_ = std::move(ledger);
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (executed_requests_.contains(it->first.origin, it->first.seq)) {
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  drop_executed_pending();
   stable_ckpt_ = std::move(ckpt);
   next_seq_ = std::max(next_seq_, cseq + 1);
   head_fetch_rounds_ = 0;
@@ -1005,7 +1051,8 @@ void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_
     // about to adopt, the rest of the reply is stale — bail out rather
     // than fold records out of order.
     if (seq != next_exec_ + 1) break;
-    log_.erase(seq);  // an unexecutable duplicate must not shadow the record
+    // An unexecutable duplicate must not shadow the record.
+    if (LogEntry* stale = log_.find(seq)) stale->reset();
     const auto idx = static_cast<std::size_t>(i);
     const ExecRecord& rec = entries[idx];
     apply_record(seq, rec,
@@ -1055,27 +1102,25 @@ void PbftSmr::start_view_change(std::uint64_t explicit_target) {
   vc.new_view = target_view_;
   vc.stable_seq = stable_seq_;
   vc.sender = transport_.self();
-  for (const auto& [seq, entry] : log_) {
+  for (std::uint64_t seq = log_.base() + 1; seq <= log_.top(); ++seq) {
+    const LogEntry& entry = *log_.find(seq);
     if (!entry.pre_prepared) continue;
     if (entry.prepares.size() >= 2 * max_faults()) {
       vc.prepared.push_back(PreparedProof{seq, entry.view, entry.digest, entry.batch});
     }
   }
 
-  ByteWriter w;
+  ByteWriter w = frame_writer(0);
   w.u64(vc.new_view);
   w.u64(vc.stable_seq);
   w.varint(vc.prepared.size());
   for (const auto& p : vc.prepared) {
     w.u64(p.seq);
     w.u64(p.view);
-    ByteWriter ow;
-    encode_ops_region(ow, p.batch);
-    w.bytes(ow.data());
+    w.varint(ops_region_size(p.batch));
+    encode_ops_region(w, p.batch);
   }
-  crypto::Signature sig = keys_.key_of(transport_.self()).sign(w.data());
-  w.raw(sig.data(), sig.size());
-  broadcast(net::MsgType::kPbftViewChange, w.data());
+  sign_and_broadcast(net::MsgType::kPbftViewChange, std::move(w));
 
   view_changes_[vc.new_view][vc.sender] = std::move(vc);
   maybe_assemble_new_view();
@@ -1102,14 +1147,14 @@ void PbftSmr::abandon_view_change() {
   if (!view_changing_) return;
   view_changing_ = false;
   current_timeout_ = options_.view_change_timeout;
-  std::deque<net::Message> replay;
+  std::vector<net::Message> replay;
   replay.swap(future_view_msgs_);
   for (const net::Message& m : replay) {
     // Higher-view messages re-buffer themselves inside the handlers.
     if (m.type == net::MsgType::kPbftPrePrepare) {
       handle_pre_prepare(m);
     } else if (m.type == net::MsgType::kPbftPrepare) {
-      handle_prepare(m);
+      handle_prepare(m, config_.index_of(m.from));
     }
   }
 }
@@ -1137,7 +1182,7 @@ void PbftSmr::handle_view_change(const net::Message& msg) {
     // off the wire; hashing the slice hits this frame's digest memo, so the
     // new primary assembling O from many proofs hashes each region once.
     std::span<const std::uint8_t> ops_region = r.bytes_view();
-    p.batch = parse_ops_region(msg.payload, ops_region);
+    parse_ops_region(msg.payload, ops_region, p.batch);
     p.digest = p.batch.empty() ? crypto::Digest{} : msg.payload.slice(ops_region).digest();
     vc.prepared.push_back(std::move(p));
   }
@@ -1187,24 +1232,21 @@ void PbftSmr::maybe_assemble_new_view() {
     }
   }
 
-  ByteWriter w;
+  ByteWriter w = frame_writer(0);
   w.u64(target_view_);
   w.u64(max_stable);
-  std::vector<Bytes> o_entries;
+  w.varint(max_seq > max_stable ? max_seq - max_stable : 0);
   for (std::uint64_t seq = max_stable + 1; seq <= max_seq; ++seq) {
-    ByteWriter ow;
-    ow.u64(seq);
     auto cit = chosen.find(seq);
-    ByteWriter ops;  // op_count 0 = the null batch filling the gap
-    encode_ops_region(ops, cit != chosen.end() ? cit->second.batch : std::vector<Request>{});
-    ow.bytes(ops.data());
-    o_entries.push_back(ow.take());
+    std::span<const Request> batch;  // op_count 0 = the null batch filling the gap
+    if (cit != chosen.end()) batch = cit->second.batch;
+    const std::size_t region = ops_region_size(batch);
+    w.varint(8 + varint_size(region) + region);  // the O entry's length prefix
+    w.u64(seq);
+    w.varint(region);
+    encode_ops_region(w, batch);
   }
-  w.varint(o_entries.size());
-  for (const Bytes& e : o_entries) w.bytes(e);
-  crypto::Signature sig = keys_.key_of(transport_.self()).sign(w.data());
-  w.raw(sig.data(), sig.size());
-  broadcast(net::MsgType::kPbftNewView, w.data());
+  sign_and_broadcast(net::MsgType::kPbftNewView, std::move(w));
 
   // Enter the view locally and re-propose O.
   std::vector<PreparedProof> carried;
@@ -1251,7 +1293,7 @@ void PbftSmr::handle_new_view(const net::Message& msg) {
     // Batch digests are recomputed locally (an op_count of 0 is the null
     // batch with the all-zero digest), never trusted off the wire.
     std::span<const std::uint8_t> ops_region = er.bytes_view();
-    p.batch = parse_ops_region(msg.payload, ops_region);
+    parse_ops_region(msg.payload, ops_region, p.batch);
     p.digest = p.batch.empty() ? crypto::Digest{} : msg.payload.slice(ops_region).digest();
     er.expect_done();
     carried.push_back(std::move(p));
@@ -1259,7 +1301,8 @@ void PbftSmr::handle_new_view(const net::Message& msg) {
 
   // Sanity check against our own evidence: the new primary must not replace
   // a batch we hold a prepared certificate for (higher or equal view).
-  for (const auto& [seq, entry] : log_) {
+  for (std::uint64_t seq = log_.base() + 1; seq <= log_.top(); ++seq) {
+    const LogEntry& entry = *log_.find(seq);
     if (!entry.pre_prepared || entry.prepares.size() < 2 * max_faults()) continue;
     if (seq <= stable) continue;
     for (const auto& p : carried) {
@@ -1303,36 +1346,32 @@ void PbftSmr::enter_view(std::uint64_t v, const std::vector<PreparedProof>& carr
   // otherwise a stale next_seq_ leaves unfillable holes below it.
   std::uint64_t carried_max = std::max(next_exec_, stable_seq_);
   for (const auto& p : carried) carried_max = std::max(carried_max, p.seq);
-  log_.erase(log_.upper_bound(carried_max), log_.end());
+  log_.truncate_after(carried_max);
   next_seq_ = carried_max + 1;
 
   for (const auto& p : carried) {
     if (p.seq <= next_exec_) continue;  // already executed here
-    LogEntry& entry = log_[p.seq];
+    broadcast(net::MsgType::kPbftPrepare, vote_frame(v, p.seq, p.digest));
+    if (p.seq - stable_seq_ > kMaxLogSpanWindows * options_.watermark_window) continue;
+    LogEntry& entry = log_.at(p.seq);
     entry.view = v;
     entry.digest = p.digest;
     entry.batch = p.batch;
     entry.pre_prepared = true;
     entry.prepares.clear();
     entry.commits.clear();
-
-    ByteWriter w;
-    w.u64(v);
-    w.u64(p.seq);
-    write_digest(w, p.digest);
-    broadcast(net::MsgType::kPbftPrepare, w.data());
-    entry.prepares.insert(transport_.self());
+    entry.prepares.insert(self_rank_);
   }
 
   // Replay protocol messages that arrived for this view before we entered
   // it (early entrants' prepares must not be lost).
-  std::deque<net::Message> replay;
+  std::vector<net::Message> replay;
   replay.swap(future_view_msgs_);
   for (const net::Message& m : replay) {
     if (m.type == net::MsgType::kPbftPrePrepare) {
       handle_pre_prepare(m);
     } else if (m.type == net::MsgType::kPbftPrepare) {
-      handle_prepare(m);
+      handle_prepare(m, config_.index_of(m.from));
     }
   }
 
@@ -1345,14 +1384,9 @@ void PbftSmr::enter_view(std::uint64_t v, const std::vector<PreparedProof>& carr
   } else if (!faulty_now()) {
     // Retransmit our own unordered requests: the new primary may never
     // have received them (e.g. it was partitioned when they were issued).
-    for (const auto& [id, op] : pending_) {
-      if (id.origin != transport_.self()) continue;
-      ByteWriter w;
-      w.u64(instance_tag_);
-      w.u64(id.origin);
-      w.u64(id.seq);
-      w.bytes(op.data(), op.size());
-      transport_.send(primary_of(view_), net::MsgType::kPbftRequest, w.take());
+    for (const Request& req : pending_) {
+      if (req.id.origin != transport_.self()) continue;
+      transport_.send(primary_of(view_), net::MsgType::kPbftRequest, request_frame(req));
     }
   }
   if (!pending_.empty()) arm_view_timer();
@@ -1365,26 +1399,28 @@ void PbftSmr::enter_view(std::uint64_t v, const std::vector<PreparedProof>& carr
 void PbftSmr::on_message(const net::Message& raw) {
   if (stopped_) return;
   if (fault_ == PbftFaultMode::kSilent) return;
-  if (!config_.contains(raw.from)) return;
+  const auto member = std::lower_bound(config_.members.begin(), config_.members.end(), raw.from);
+  if (member == config_.members.end() || *member != raw.from) return;
+  const auto from_rank = static_cast<std::size_t>(member - config_.members.begin());
   // Envelope check: the leading u64 of every frame is the instance tag.
   // Frames from another instance (an earlier or later epoch running over
   // overlapping node ids) are dropped here, before any handler can mistake
   // their seq numbering for this instance's.
   if (raw.payload.size() < 8) return;
-  net::Message msg = raw;
   {
     ByteReader r(raw.payload);
     // lint: handler-serde-safety-ok(8-byte read is gated by the size()<8 early return above)
     if (r.u64() != instance_tag_) return;
-    msg.payload = raw.payload.slice(
-        std::span<const std::uint8_t>(raw.payload.data() + 8, raw.payload.size() - 8));
   }
+  const net::Message msg{raw.from, raw.to, raw.type,
+                         raw.payload.slice(std::span<const std::uint8_t>(
+                             raw.payload.data() + 8, raw.payload.size() - 8))};
   try {
     switch (msg.type) {
       case net::MsgType::kPbftRequest: handle_request(msg); break;
       case net::MsgType::kPbftPrePrepare: handle_pre_prepare(msg); break;
-      case net::MsgType::kPbftPrepare: handle_prepare(msg); break;
-      case net::MsgType::kPbftCommit: handle_commit(msg); break;
+      case net::MsgType::kPbftPrepare: handle_prepare(msg, from_rank); break;
+      case net::MsgType::kPbftCommit: handle_commit(msg, from_rank); break;
       case net::MsgType::kPbftCheckpoint: handle_checkpoint(msg); break;
       case net::MsgType::kPbftViewChange: handle_view_change(msg); break;
       case net::MsgType::kPbftNewView: handle_new_view(msg); break;

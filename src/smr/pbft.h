@@ -59,14 +59,22 @@
 // pre-prepare frame.
 // Lifetime consequence (net/message.h slice-ownership contract): a
 // retained op pins its WHOLE arrival frame. The pinned set is bounded: an
-// executed record lives in its log slot, collect_garbage erases every slot
+// executed record lives in its log slot, collect_garbage resets every slot
 // at or below the stable checkpoint, and in_window caps next_exec_ at
 // stable_seq_ + watermark_window, so at most watermark_window records stay
 // pinned however long the instance runs.
+//
+// Steady-state agreement allocates per message only the frame it sends
+// (one buffer, written once, instance tag first) and, per batch, the
+// batch's and the record's op vectors: the log is a ring of reused slots
+// (SeqRing), votes are rank bitmaps (VoteSet), and pending_ is a sorted
+// vector.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -199,6 +207,110 @@ class RequestLedger {
   std::map<NodeId, OriginState> origins_;
 };
 
+// A set of group members, one bit per rank in the sorted member list (the
+// rank is the member's index in GroupConfig::members). Ranks below 64 live
+// in one inline word, so a vote costs no allocation in groups of up to 64;
+// larger groups spill into words that clear() keeps for reuse.
+class VoteSet {
+ public:
+  // Returns true when the rank was not in the set yet.
+  bool insert(std::size_t rank) {
+    std::uint64_t& word = rank < 64 ? low_ : spill_word(rank);
+    const std::uint64_t bit = std::uint64_t{1} << (rank % 64);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    return true;
+  }
+  bool contains(std::size_t rank) const {
+    if (rank < 64) return ((low_ >> rank) & 1) != 0;
+    const std::size_t i = rank / 64 - 1;
+    return i < high_.size() && ((high_[i] >> (rank % 64)) & 1) != 0;
+  }
+  std::size_t size() const {
+    std::size_t n = static_cast<std::size_t>(std::popcount(low_));
+    for (std::uint64_t w : high_) n += static_cast<std::size_t>(std::popcount(w));
+    return n;
+  }
+  void clear() {
+    low_ = 0;
+    std::fill(high_.begin(), high_.end(), 0);
+  }
+
+ private:
+  std::uint64_t& spill_word(std::size_t rank) {
+    const std::size_t i = rank / 64 - 1;
+    if (i >= high_.size()) high_.resize(i + 1, 0);
+    return high_[i];
+  }
+  std::uint64_t low_ = 0;
+  std::vector<std::uint64_t> high_;  // ranks 64.. (empty below 65 members)
+};
+
+// The PBFT log window: one Slot per seq in (base(), top()], kept in a ring
+// whose power-of-two capacity is indexed by seq. Truncating at the stable
+// checkpoint resets slots and advances the base without moving anything,
+// and a slot is reused by the next seq that maps to it. The ring starts
+// empty and grows with the live span top() - base(); it never preallocates
+// the watermark window. Slots outside (base(), top()] are always reset.
+//
+// Growth moves the slots: a Slot& is valid until the next at() that
+// reaches past the capacity. Callers re-fetch a slot after any call that
+// may log a new seq (a decide callback proposing, say).
+template <typename Slot>
+class SeqRing {
+ public:
+  std::uint64_t base() const { return base_; }
+  std::uint64_t top() const { return top_; }
+  std::size_t capacity() const { return slots_.size(); }
+
+  // The slot of `seq` (> base()), extending the live span to it.
+  Slot& at(std::uint64_t seq) {
+    assert(seq > base_);
+    if (seq - base_ > slots_.size()) grow(seq - base_);
+    top_ = std::max(top_, seq);
+    return slot(seq);
+  }
+  // The slot of `seq` if it lies in the live span, else nullptr.
+  Slot* find(std::uint64_t seq) { return seq > base_ && seq <= top_ ? &slot(seq) : nullptr; }
+  const Slot* find(std::uint64_t seq) const {
+    return seq > base_ && seq <= top_ ? &slots_[index(seq)] : nullptr;
+  }
+  // Resets every slot at or below `seq` and makes `seq` the base.
+  void truncate_through(std::uint64_t seq) {
+    if (seq <= base_) return;
+    for (std::uint64_t s = base_ + 1; s <= std::min(seq, top_); ++s) slot(s).reset();
+    base_ = seq;
+    top_ = std::max(top_, seq);
+  }
+  // Resets every slot above `seq`.
+  void truncate_after(std::uint64_t seq) {
+    const std::uint64_t keep = std::max(seq, base_);
+    for (std::uint64_t s = keep + 1; s <= top_; ++s) slot(s).reset();
+    top_ = std::min(top_, keep);
+  }
+
+ private:
+  std::size_t index(std::uint64_t seq) const {
+    return static_cast<std::size_t>(seq & (slots_.size() - 1));
+  }
+  Slot& slot(std::uint64_t seq) { return slots_[index(seq)]; }
+  void grow(std::uint64_t span) {
+    // From one slot up: most instances (an epoch under churn) live and die
+    // with a handful of seqs, thousands of them at once.
+    std::size_t cap = std::max<std::size_t>(slots_.size() * 2, 1);
+    while (cap < span) cap *= 2;
+    std::vector<Slot> next(cap);
+    for (std::uint64_t s = base_ + 1; s <= top_; ++s) {
+      next[static_cast<std::size_t>(s & (cap - 1))] = std::move(slot(s));
+    }
+    slots_.swap(next);
+  }
+
+  std::vector<Slot> slots_;
+  std::uint64_t base_ = 0;
+  std::uint64_t top_ = 0;
+};
+
 class PbftSmr final : public SmrEngine {
  public:
   PbftSmr(net::Transport transport, GroupConfig config, crypto::KeyStore& keys,
@@ -227,11 +339,19 @@ class PbftSmr final : public SmrEngine {
   // per-slot batch sizes are what prove the quorum amortization happened.
   std::uint64_t batches_executed() const { return next_exec_; }
   // Memory-bound observability: history_size() counts the executed records
-  // the log still holds, one per seq in (history_base(), next_exec_], and
-  // never exceeds watermark_window (each record pins its batch frames; see
-  // the header comment).
-  std::size_t history_size() const;
-  std::uint64_t history_base() const { return next_exec_ - history_size(); }
+  // the log still holds, one per seq in (history_base(), next_exec_] — the
+  // slots between the stable checkpoint and the execution head, so O(1) —
+  // and never exceeds watermark_window (each record pins its batch frames;
+  // see the header comment).
+  std::size_t history_size() const { return static_cast<std::size_t>(next_exec_ - stable_seq_); }
+  std::uint64_t history_base() const { return stable_seq_; }
+  // The same count taken the slow way, slot by slot over the log (tests
+  // pin history_size() to it).
+  std::size_t records_held() const;
+  // The log's live span: the seqs above the stable checkpoint it holds
+  // slots for, and the slots the ring holds storage for (grows with it).
+  std::uint64_t log_span() const { return log_.top() - log_.base(); }
+  std::size_t log_capacity() const { return log_.capacity(); }
   std::uint64_t instance_tag() const { return instance_tag_; }
 
   // Runtime fault conversion (scenario Byzantine-storm primitive): fault_
@@ -286,24 +406,40 @@ class PbftSmr final : public SmrEngine {
     std::uint64_t ops = 0;
     Bytes ledger_wire;
     // CB(seq): the CHECKPOINT wire body AND the thing voted on (votes
-    // store the SHA-256 of these bytes).
-    Bytes body() const;
+    // store body_digest(), the SHA-256 of these bytes).
+    void write_body(ByteWriter& w) const;
+    std::size_t body_size() const {  // u64 seq, digest, u64 ops, bytes(ledger)
+      return 48 + varint_size(ledger_wire.size()) + ledger_wire.size();
+    }
+    crypto::Digest body_digest() const;
   };
   // One log slot holds one BATCH of requests: an empty batch is the null
   // filler a new view uses for gaps (digest all-zero, executes as a no-op).
   // The slot also keeps what the seq became once executed here or adopted
-  // through state transfer, until the stable checkpoint collects it.
+  // through state transfer, until the stable checkpoint collects it. Votes
+  // are rank bitmaps over config_.members. reset() clears the slot for
+  // reuse by a later seq and releases its batch and record: held for reuse
+  // in every slot of the ring they cost more memory (peak RSS on
+  // smr_pipeline +0.5 MB) than one allocation per batch costs time.
   struct LogEntry {
     std::uint64_t view = 0;
     crypto::Digest digest{};
     std::vector<Request> batch;
+    VoteSet prepares;
+    VoteSet commits;
+    ExecRecord record;  // meaningful once `executed`
     bool pre_prepared = false;
-    std::set<NodeId> prepares;
-    std::set<NodeId> commits;
-    std::optional<ExecRecord> record;  // set once the seq executed
-    // Our own checkpoint of this boundary, awaiting 2f+1 matching votes;
-    // promoted to stable_ckpt_ when the slot is collected.
-    std::optional<Checkpoint> own_ckpt;
+    bool executed = false;
+    void reset() {
+      view = 0;
+      digest = crypto::Digest{};
+      batch = {};
+      prepares.clear();
+      commits.clear();
+      record = {};
+      pre_prepared = false;
+      executed = false;
+    }
   };
   struct PreparedProof {
     std::uint64_t seq;
@@ -321,8 +457,9 @@ class PbftSmr final : public SmrEngine {
   void on_message(const net::Message& msg);
   void handle_request(const net::Message& msg);
   void handle_pre_prepare(const net::Message& msg);
-  void handle_prepare(const net::Message& msg);
-  void handle_commit(const net::Message& msg);
+  // `from_rank`: the sender's rank in config_.members (its vote bit).
+  void handle_prepare(const net::Message& msg, std::size_t from_rank);
+  void handle_commit(const net::Message& msg, std::size_t from_rank);
   void handle_checkpoint(const net::Message& msg);
   void handle_view_change(const net::Message& msg);
   void handle_new_view(const net::Message& msg);
@@ -338,13 +475,25 @@ class PbftSmr final : public SmrEngine {
   void disarm_batch_timer();
   // Canonical ops-region encoding shared by pre-prepares, view-change
   // proofs and new-view O entries; the batch digest is the SHA-256 of
-  // exactly these bytes.
-  static void encode_ops_region(ByteWriter& w, const std::vector<Request>& batch);
-  // Parses an ops region as zero-copy slices of `frame`. Throws SerdeError
-  // on malformed bytes (including an op claiming the null origin) and on
-  // bytes that are not the canonical encoding of the batch they decode to.
-  static std::vector<Request> parse_ops_region(const net::Payload& frame,
-                                               std::span<const std::uint8_t> region);
+  // exactly these bytes. ops_region_size() is their exact length, so a
+  // frame can length-prefix the region and write it in place.
+  static void encode_ops_region(ByteWriter& w, std::span<const Request> batch);
+  static std::size_t ops_region_size(std::span<const Request> batch);
+  // The PRE-PREPARE frame for `batch` at (view, seq), written in one
+  // buffer: the ops region is encoded in place and hashed there, and the
+  // batch digest patched in ahead of it. Returns the frame and the digest.
+  std::pair<Bytes, crypto::Digest> pre_prepare_frame(std::uint64_t view, std::uint64_t seq,
+                                                     std::span<const Request> batch) const;
+  // A REQUEST frame: (origin, origin seq, op).
+  Bytes request_frame(const Request& req) const;
+  // A PREPARE or COMMIT frame: (view, seq, digest).
+  Bytes vote_frame(std::uint64_t view, std::uint64_t seq, const crypto::Digest& digest) const;
+  // Parses an ops region into `out` (cleared first) as zero-copy slices of
+  // `frame`. Throws SerdeError on malformed bytes (including an op
+  // claiming the null origin) and on bytes that are not the canonical
+  // encoding of the batch they decode to.
+  static void parse_ops_region(const net::Payload& frame, std::span<const std::uint8_t> region,
+                               std::vector<Request>& out);
   void maybe_send_prepare(std::uint64_t seq);
   void maybe_send_commit(std::uint64_t seq);
   void try_execute();
@@ -356,11 +505,16 @@ class PbftSmr final : public SmrEngine {
   // state digest to `state_after` (the caller's fold of the record digest),
   // updates the ledgers, stores the record in its slot as next_exec_,
   // checkpoints a boundary and fires the decides.
-  void apply_record(std::uint64_t seq, const ExecRecord& rec, const crypto::Digest& state_after);
-  // Prepends the instance tag: the envelope every frame travels in (the
+  void apply_record(std::uint64_t seq, ExecRecord rec, const crypto::Digest& state_after);
+  // A writer for a frame of `body_size` bytes after the instance tag,
+  // which it has already written: the envelope every frame travels in (the
   // receiving on_message checks and strips it before dispatch).
-  Bytes tagged(const Bytes& body) const;
-  void broadcast(net::MsgType type, const Bytes& payload, bool include_self = false);
+  ByteWriter frame_writer(std::size_t body_size) const;
+  // Sends one frozen `frame` (instance tag included) to every other member.
+  void broadcast(net::MsgType type, Bytes frame, bool include_self = false);
+  // Appends our signature over the frame's body (everything after the
+  // instance tag) and broadcasts it: VIEW-CHANGE and NEW-VIEW.
+  void sign_and_broadcast(net::MsgType type, ByteWriter frame);
   void send_checkpoint(std::uint64_t seq);
   void collect_garbage(std::uint64_t stable_seq);
   // As primary: batch everything still pending afresh and flush it.
@@ -380,6 +534,12 @@ class PbftSmr final : public SmrEngine {
   // The STATE-FETCH request for records (next_exec_, upto) (upto 0 = no
   // cap), frozen once so a fan-out shares one buffer.
   net::Payload state_fetch_frame(std::uint64_t upto) const;
+
+  // How far past the stable checkpoint, in watermark windows, the log ring
+  // may reach: enter_view does not log a carried seq beyond it (nothing in
+  // the window could vote on it, and a NEW-VIEW's claimed stable seq is
+  // bounded only by its sender).
+  static constexpr std::uint64_t kMaxLogSpanWindows = 16;
 
   bool in_window(std::uint64_t seq) const {
     return seq > stable_seq_ && seq <= stable_seq_ + options_.watermark_window;
@@ -426,18 +586,36 @@ class PbftSmr final : public SmrEngine {
   std::uint64_t executed_ops_ = 0;
 
   // The one window of seqs: batches in agreement above next_exec_, executed
-  // records at or below it; collect_garbage truncates it at the stable
-  // checkpoint.
-  std::map<std::uint64_t, LogEntry> log_;
-  std::map<RequestId, net::Payload> pending_;    // not yet pre-prepared
+  // records at or below it. Its base is stable_seq_: collect_garbage
+  // truncates it at the stable checkpoint.
+  SeqRing<LogEntry> log_;
+  // Requests not executed yet, sorted by RequestId (the order re-proposal
+  // and retransmission walk them), at most one per id.
+  std::vector<Request> pending_;
+  std::vector<Request>::iterator pending_lower_bound(const RequestId& id);
+  std::vector<Request>::iterator pending_find(const RequestId& id);
+  // Erases the requests executed_requests_ holds, in one pass (erasing
+  // a batch's ops one by one would shift the tail once per op).
+  void drop_executed_pending();
+  // Inserts the request, or replaces the op a pending id holds.
+  void pending_put(const Request& req);
   RequestLedger assigned_or_executed_;           // dedup
+  // Our rank in config_.members (our vote bit); config_.size() if we are
+  // not a member, which still counts our own vote once.
+  std::size_t self_rank_ = 0;
+  // The pending_ snapshot reenqueue_pending walks, kept for reuse. Taken
+  // by move for the call: a nested call from a decide callback finds it
+  // empty and cannot clobber the outer call's snapshot.
+  std::vector<Request> reenqueue_scratch_;
   // Pre-prepares whose client request has not arrived yet; replayed when it
   // does (the request broadcast can be overtaken by the primary's message).
   std::map<RequestId, net::Message> stashed_pre_prepares_;
   // Protocol messages for views we have not entered yet: replicas enter a
   // new view at different instants, and prepares sent by early entrants
   // must not be lost for late ones. Replayed by enter_view.
-  std::deque<net::Message> future_view_msgs_;
+  // A vector, not a deque: an empty std::deque allocates its first block
+  // (~600 B) up front, in every one of thousands of instances.
+  std::vector<net::Message> future_view_msgs_;
   static constexpr std::size_t kFutureBufferCap = 4096;
   // Request ids already executed: an equivocating client (e.g. a Byzantine
   // primary re-ordering its own op) must not be delivered twice. Carried
@@ -456,6 +634,10 @@ class PbftSmr final : public SmrEngine {
   // The latest STABLE checkpoint (2f+1 matching votes or installed) — what
   // handle_state_fetch serves to deep laggards.
   std::optional<Checkpoint> stable_ckpt_;
+  // Our own checkpoints of executed boundaries above stable_seq_, in seq
+  // order, each awaiting 2f+1 matching votes; collect_garbage promotes the
+  // one at the new stable seq to stable_ckpt_ and drops those below.
+  std::vector<Checkpoint> own_ckpts_;
 
   // Checkpoint plumbing (see pbft.cpp for contracts).
   void maybe_stabilize();

@@ -246,6 +246,70 @@ TEST(Serde, VarintOverflowThrows) {
   EXPECT_THROW(r.varint(), SerdeError);
 }
 
+// Every ByteWriter primitive's exact bytes: integers little-endian, f64 as
+// its IEEE-754 bit pattern, varints LEB128, length prefixes as varints.
+// These bytes are the wire format (and what signatures and digests cover),
+// so a writer rewrite must reproduce them byte for byte.
+TEST(Serde, GoldenBytesOfEveryWriterPrimitive) {
+  ByteWriter w;
+  w.u8(0xAB);
+  w.u16(0xBEEF);
+  w.u32(0xDEADBEEF);
+  w.u64(0x0123456789ABCDEFULL);
+  w.i64(-2);
+  w.f64(1.0);
+  w.varint(0);
+  w.varint(127);
+  w.varint(128);
+  w.varint(300);
+  w.varint(UINT64_MAX);
+  w.bytes(Bytes{0x01, 0x02});
+  const std::uint8_t raw3[] = {0x0A, 0x0B, 0x0C};
+  w.bytes(raw3, 3);
+  w.raw(raw3, 2);
+  w.str("hi");
+  w.bytes(Bytes{});
+  w.vec(std::vector<std::uint16_t>{0x0102, 0x0304},
+        [](ByteWriter& bw, std::uint16_t x) { bw.u16(x); });
+  const Bytes expected{
+      0xAB,                                            // u8
+      0xEF, 0xBE,                                      // u16
+      0xEF, 0xBE, 0xAD, 0xDE,                          // u32
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // i64 -2
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // f64 1.0
+      0x00,                                            // varint 0
+      0x7F,                                            // varint 127
+      0x80, 0x01,                                      // varint 128
+      0xAC, 0x02,                                      // varint 300
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01,  // varint 2^64-1
+      0x02, 0x01, 0x02,                                // bytes(Bytes)
+      0x03, 0x0A, 0x0B, 0x0C,                          // bytes(ptr, n)
+      0x0A, 0x0B,                                      // raw
+      0x02, 'h', 'i',                                  // str
+      0x00,                                            // empty bytes
+      0x02, 0x02, 0x01, 0x04, 0x03,                    // vec of two u16
+  };
+  EXPECT_EQ(w.size(), expected.size());
+  EXPECT_EQ(w.data(), expected);
+  const Bytes taken = w.take();
+  EXPECT_EQ(taken, expected);
+  EXPECT_EQ(w.size(), 0u) << "take() leaves the writer empty";
+
+  // A writer taken from starts afresh and writes the same bytes again.
+  w.u32(0x01020304);
+  EXPECT_EQ(w.take(), (Bytes{0x04, 0x03, 0x02, 0x01}));
+
+  // Large writes past any initial capacity stay byte-exact.
+  ByteWriter big;
+  for (std::uint64_t i = 0; i < 1000; ++i) big.u64((i % 256) * 0x0101010101010101ULL);
+  ASSERT_EQ(big.size(), 8000u);
+  const Bytes b = big.take();
+  for (std::size_t i = 0; i < 1000; ++i) {
+    for (std::size_t k = 0; k < 8; ++k) ASSERT_EQ(b[8 * i + k], static_cast<std::uint8_t>(i));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Stats
 // ---------------------------------------------------------------------------

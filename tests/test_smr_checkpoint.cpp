@@ -15,7 +15,13 @@
 //    distinct epoch hashes and therefore distinct instance tags;
 //  * a member removed while partitioned learns of its removal from f+1
 //    byte-identical removal notices once the partition heals (the
-//    leave-confirmation gap).
+//    leave-confirmation gap);
+//  * the log ring: it wraps many times with history_size() equal to the
+//    slot-by-slot record count, a view change resets its tail, a NEW-VIEW
+//    claiming a far seq does not stretch it, and it matches a std::map
+//    model under random use;
+//  * rank-bitmap votes count ranks past the first 64-bit word, in a
+//    VoteSet and in a group of 70.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -423,6 +429,241 @@ TEST(PbftCheckpoint, InstallCatchUpAccountsForSkippedOps) {
         << "divergence at suffix index " << i;
   }
   EXPECT_LE(g.at(3).history_size(), opt.watermark_window);
+}
+
+// The log ring wraps many times: 12.5 windows of seqs through a window of
+// 16 slots, checkpointing every 4. After every decide, the O(1)
+// history_size() equals the slot-by-slot count of executed records, and
+// the ring never holds storage for more seqs than the window.
+TEST(PbftCheckpoint, LogRingWrapsManyTimesWithExactHistory) {
+  PbftOptions opt;
+  opt.checkpoint_interval = 4;
+  opt.watermark_window = 16;
+  opt.batch_max_ops = 1;
+  CkptGroup g(4, opt);
+  std::size_t checks = 0;
+  g.after_decide = [&](NodeId n) {
+    const PbftSmr& r = g.at(n);
+    ASSERT_EQ(r.history_size(), r.records_held()) << "replica " << n;
+    ASSERT_EQ(r.history_base() + r.history_size(), r.batches_executed()) << "replica " << n;
+    ASSERT_LE(r.log_capacity(), opt.watermark_window) << "replica " << n;
+    ++checks;
+  };
+
+  constexpr int kOps = 200;
+  for (int i = 0; i < kOps; ++i) {
+    g.at(static_cast<std::size_t>(i % 4)).propose(op_bytes("op" + std::to_string(i)));
+    if (i % 10 == 9) g.run_for(millis(200));
+  }
+  g.run_for(seconds(10));
+
+  ASSERT_EQ(g.decided[0].size(), static_cast<std::size_t>(kOps));
+  EXPECT_EQ(checks, 4u * kOps);
+  for (NodeId n = 0; n < 4; ++n) {
+    EXPECT_EQ(g.decided[n], g.decided[0]) << "replica " << n;
+    EXPECT_EQ(g.at(n).batches_executed(), static_cast<std::uint64_t>(kOps)) << "replica " << n;
+    EXPECT_GE(g.at(n).stable_seq(), 10 * opt.watermark_window) << "replica " << n;
+    EXPECT_EQ(g.at(n).history_size(), g.at(n).records_held()) << "replica " << n;
+  }
+}
+
+// A view change drops the log's tail above what it carries over, mid
+// window. Replica 3 alone logs forged view-0 batches for seqs 7..9 (never
+// prepared anywhere, so never carried), and its prepares give replicas 1
+// and 2 slots there too; when view 0's primary dies, the new view resets
+// those slots at every replica and reassigns seq 7 to the pending op.
+// Nothing forged decides, everyone decides the same ops in the same order,
+// and the history count stays exact.
+TEST(PbftCheckpoint, ViewChangeTruncatesTheTailMidWindow) {
+  PbftOptions opt;
+  opt.checkpoint_interval = 4;
+  opt.watermark_window = 16;
+  opt.batch_max_ops = 1;
+  opt.view_change_timeout = seconds(1);
+  // View 0's primary never flushes by itself: the test assigns view-0 seqs.
+  CkptGroup g(4, opt, [](NodeId n, PbftOptions& o) {
+    if (n == 0) {
+      o.batch_max_ops = 64;
+      o.batch_flush_delay = seconds(3600);
+    }
+  });
+  g.after_decide = [&](NodeId n) {
+    ASSERT_EQ(g.at(n).history_size(), g.at(n).records_held()) << "replica " << n;
+  };
+
+  for (std::uint64_t seq = 1; seq <= 6; ++seq) {
+    const Bytes op = op_bytes("a" + std::to_string(seq));
+    g.at(1).propose(op);
+    g.run_for(millis(50));
+    g.forge_pre_prepare(seq, {{1, seq, op}}, {0, 1, 2, 3});
+    g.run_for(millis(200));
+  }
+  for (NodeId n = 0; n < 4; ++n) {
+    ASSERT_EQ(g.at(n).batches_executed(), 6u) << "replica " << n;
+    ASSERT_EQ(g.at(n).stable_seq(), 4u) << "replica " << n;
+  }
+
+  // The primary's own ops skip the client cross-check, so replica 3 logs
+  // these; nobody else ever sees them.
+  for (std::uint64_t seq = 7; seq <= 9; ++seq) {
+    g.forge_pre_prepare(seq, {{0, 100 + seq, op_bytes("forged" + std::to_string(seq))}}, {3});
+  }
+  g.run_for(millis(200));
+  ASSERT_EQ(g.at(3).batches_executed(), 6u);
+
+  for (NodeId n = 1; n < 4; ++n) ASSERT_EQ(g.at(n).log_span(), 5u) << "replica " << n;
+
+  g.at(0).set_fault(PbftFaultMode::kSilent);
+  g.at(2).propose(op_bytes("b0"));
+  g.run_for(seconds(5));
+  for (NodeId n = 1; n < 4; ++n) {
+    ASSERT_EQ(g.at(n).view(), 1u) << "replica " << n;
+    ASSERT_EQ(g.at(n).batches_executed(), 7u) << "replica " << n;
+    EXPECT_EQ(g.at(n).log_span(), 3u) << "replica " << n << ": slots 8..9 outlived the view change";
+  }
+
+  for (int i = 1; i < 5; ++i) g.at(2).propose(op_bytes("b" + std::to_string(i)));
+  g.run_for(seconds(5));
+
+  for (NodeId n = 1; n < 4; ++n) {
+    EXPECT_EQ(g.at(n).view(), 1u) << "replica " << n;
+    EXPECT_EQ(g.at(n).batches_executed(), 11u) << "replica " << n;
+    EXPECT_EQ(g.decided[n], g.decided[1]) << "replica " << n;
+    EXPECT_EQ(g.at(n).state_digest(), g.at(1).state_digest()) << "replica " << n;
+    EXPECT_EQ(g.at(n).history_size(), g.at(n).records_held()) << "replica " << n;
+  }
+  ASSERT_EQ(g.decided[3].size(), 11u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(g.decided[3][6 + i], std::make_pair(NodeId{2}, op_bytes("b" + std::to_string(i))))
+        << "seq " << 7 + i << " carries the new view's op, not the forged one";
+  }
+}
+
+// A NEW-VIEW's stable seq is whatever its signer claims. One claiming
+// 2^40 carries an O entry there; the replica enters the view, but the log
+// ring does not stretch to that seq (it would need 2^40 slots).
+TEST(PbftCheckpoint, NewViewFarPastTheWindowDoesNotStretchTheLog) {
+  PbftOptions opt;
+  opt.watermark_window = 16;
+  CkptGroup g(4, opt);
+  const std::uint64_t far = std::uint64_t{1} << 40;
+  ByteWriter body;
+  body.u64(1);    // new view; its primary is replica 1
+  body.u64(far);  // claimed stable seq
+  body.varint(1);
+  body.varint(10);  // O entry: u64 seq, bytes(ops region of the null batch)
+  body.u64(far + 1);
+  body.varint(1);
+  body.varint(0);
+  const crypto::Signature sig = g.keys.key_of(1).sign(body.data());
+  ByteWriter w;
+  w.u64(g.at(0).instance_tag());
+  w.raw(body.data().data(), body.size());
+  w.raw(sig.data(), sig.size());
+  g.net.send(net::Message{1, 2, net::MsgType::kPbftNewView, net::Payload(w.take())});
+  g.run_for(millis(100));
+
+  EXPECT_EQ(g.at(2).view(), 1u);
+  EXPECT_LE(g.at(2).log_span(), opt.watermark_window);
+  EXPECT_LE(g.at(2).log_capacity(), opt.watermark_window);
+}
+
+// Votes are rank bits over the sorted members; ranks from 64 up live past
+// the first word.
+TEST(VoteSet, CountsAndFindsRanksAcrossWordBoundaries) {
+  VoteSet v;
+  EXPECT_EQ(v.size(), 0u);
+  for (std::size_t rank : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 200u}) {
+    EXPECT_FALSE(v.contains(rank));
+    EXPECT_TRUE(v.insert(rank));
+    EXPECT_FALSE(v.insert(rank)) << "a second vote from rank " << rank << " does not count";
+    EXPECT_TRUE(v.contains(rank));
+  }
+  EXPECT_EQ(v.size(), 8u);
+  EXPECT_FALSE(v.contains(62));
+  EXPECT_FALSE(v.contains(66));
+  EXPECT_FALSE(v.contains(199));
+  EXPECT_FALSE(v.contains(1000)) << "beyond every stored word";
+  v.clear();
+  EXPECT_EQ(v.size(), 0u);
+  for (std::size_t rank : {0u, 64u, 200u}) EXPECT_FALSE(v.contains(rank));
+  EXPECT_TRUE(v.insert(200));
+  EXPECT_EQ(v.size(), 1u);
+}
+
+// A group of 70 (f = 23): with 23 low-rank backups silent, the prepare and
+// commit quorums (46 and 47) need every correct replica, including the six
+// whose ranks (64..69) fall in the second bitmap word.
+TEST(PbftCheckpoint, QuorumsCountVotesFromRanksPastTheFirstWord) {
+  PbftOptions opt;
+  opt.view_change_timeout = seconds(30);  // the live primary must stay
+  CkptGroup g(70, opt);
+  ASSERT_EQ(g.at(0).max_faults(), 23u);
+  for (NodeId n = 1; n <= 23; ++n) g.at(n).set_fault(PbftFaultMode::kSilent);
+
+  for (int i = 0; i < 3; ++i) g.at(69).propose(op_bytes("op" + std::to_string(i)));
+  g.run_for(seconds(5));
+
+  for (NodeId n : {0u, 24u, 63u, 64u, 69u}) {
+    ASSERT_EQ(g.decided[n].size(), 3u) << "replica " << n;
+    EXPECT_EQ(g.decided[n], g.decided[0]) << "replica " << n;
+    EXPECT_EQ(g.at(n).view(), 0u) << "replica " << n;
+  }
+  EXPECT_TRUE(g.decided[1].empty());
+}
+
+// SeqRing against a std::map model: random slot writes within a sliding
+// window, truncations at both ends and growth past the capacity leave the
+// same live slots with the same contents.
+TEST(SeqRing, MatchesAMapModelUnderRandomUse) {
+  struct Slot {
+    std::uint64_t value = 0;
+    void reset() { value = 0; }
+  };
+  SeqRing<Slot> ring;
+  std::map<std::uint64_t, std::uint64_t> model;  // seq -> value, 0 = reset
+  std::uint64_t base = 0;
+  std::uint64_t state = 12345;
+  auto next = [&](std::uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t span = step < 10000 ? 16 : 100;  // forces growth midway
+    switch (next(10)) {
+      case 0: {  // truncate at a checkpoint
+        const std::uint64_t to = base + next(span / 2 + 1);
+        ring.truncate_through(to);
+        model.erase(model.begin(), model.upper_bound(to));
+        base = std::max(base, to);
+        break;
+      }
+      case 1: {  // a view change drops the tail
+        const std::uint64_t keep = base + next(span);
+        ring.truncate_after(keep);
+        model.erase(model.upper_bound(keep), model.end());
+        break;
+      }
+      default: {
+        const std::uint64_t seq = base + 1 + next(span);
+        const std::uint64_t value = 1 + next(1000);
+        ring.at(seq).value = value;
+        model[seq] = value;
+      }
+    }
+    ASSERT_EQ(ring.base(), base);
+    for (std::uint64_t seq = base + 1; seq <= base + span; ++seq) {
+      const Slot* slot = ring.find(seq);
+      const auto it = model.find(seq);
+      const std::uint64_t want = it == model.end() ? 0 : it->second;
+      ASSERT_EQ(slot == nullptr ? 0 : slot->value, want) << "step " << step << " seq " << seq;
+      if (slot == nullptr) {
+        ASSERT_TRUE(seq > ring.top()) << "a live seq must be found";
+      }
+    }
+  }
+  EXPECT_GE(ring.capacity(), 100u);
+  EXPECT_LE(ring.capacity(), 256u);
 }
 
 GroupConfig members(std::initializer_list<NodeId> ns) {
