@@ -287,7 +287,6 @@ void AtumNode::setup_runtime() {
         sys_.simulator(), sys_.params().heartbeat_period, [this] { heartbeat_tick(); });
   }
   heard_at_.assign(vg_.size(), sys_.simulator().now());
-  non_member_heard_.clear();
   accusations_.clear();
   runtime_active_ = true;
 }
@@ -329,17 +328,11 @@ void AtumNode::join(NodeId contact) {
 
 void AtumNode::leave() {
   if (!runtime_active_) return;
-  std::vector<NodeId> rest;
-  for (NodeId n : vg_.members()) {
-    if (n != id_) rest.push_back(n);
-  }
-  if (rest.empty()) {
-    stop();  // last node of the system simply shuts down
+  if (vg_.size() == 1) {
+    stop();  // the last member of its vgroup simply shuts down
     return;
   }
-  smr::GroupConfig cfg;
-  cfg.members = rest;
-  smr_->propose_reconfig(cfg);
+  smr_->propose_remove(id_);
 }
 
 void AtumNode::broadcast(Bytes payload) {
@@ -450,15 +443,7 @@ void AtumNode::evaluate_suspicions() {
                       ? smr::sync_max_faults(vg_.size())
                       : smr::async_max_faults(vg_.size());
   for (const auto& [suspect, accusers] : accusations_) {
-    if (accusers.size() < f + 1) continue;
-    std::vector<NodeId> rest;
-    for (NodeId n : vg_.members()) {
-      if (n != suspect) rest.push_back(n);
-    }
-    if (rest.empty() || !smr_) continue;
-    smr::GroupConfig cfg;
-    cfg.members = rest;
-    smr_->propose_reconfig(cfg);
+    if (accusers.size() >= f + 1 && smr_) smr_->propose_remove(suspect);
   }
 }
 
@@ -629,11 +614,7 @@ void AtumNode::handle_walk(overlay::WalkState walk) {
       ByteReader r(walk.payload);
       NodeId joiner = r.u64();
       if (vg_.has_member(joiner) || !smr_) return;
-      std::vector<NodeId> next = vg_.members();
-      next.push_back(joiner);
-      smr::GroupConfig cfg;
-      cfg.members = next;
-      smr_->propose_reconfig(cfg);
+      smr_->propose_add(joiner);
       break;
     }
     default:
@@ -694,8 +675,6 @@ void AtumNode::on_direct(const net::Message& msg) {
         auto it = std::lower_bound(members.begin(), members.end(), msg.from);
         if (it != members.end() && *it == msg.from) {
           heard_at_[static_cast<std::size_t>(it - members.begin())] = sys_.simulator().now();
-        } else {
-          remember_non_member(msg.from, sys_.simulator().now());
         }
         break;
       }
@@ -784,32 +763,9 @@ void AtumNode::rebuild_heartbeat_record(const std::vector<NodeId>& old_members) 
     auto old = std::lower_bound(old_members.begin(), old_members.end(), members[j]);
     if (old != old_members.end() && *old == members[j]) {
       heard_at[j] = heard_at_[static_cast<std::size_t>(old - old_members.begin())];
-      continue;
     }
-    auto seen = std::find_if(non_member_heard_.begin(), non_member_heard_.end(),
-                             [&](const auto& e) { return e.first == members[j]; });
-    if (seen != non_member_heard_.end()) {
-      heard_at[j] = seen->second;
-      non_member_heard_.erase(seen);
-    }
-  }
-  for (std::size_t i = 0; i < old_members.size(); ++i) {
-    if (!vg_.has_member(old_members[i])) remember_non_member(old_members[i], heard_at_[i]);
   }
   heard_at_ = std::move(heard_at);
-}
-
-void AtumNode::remember_non_member(NodeId node, TimeMicros at) {
-  auto it = std::find_if(non_member_heard_.begin(), non_member_heard_.end(),
-                         [&](const auto& e) { return e.first == node; });
-  if (it != non_member_heard_.end()) {
-    it->second = at;
-    return;
-  }
-  non_member_heard_.emplace_back(node, at);
-  if (non_member_heard_.size() > kNonMembersHeard) {
-    non_member_heard_.erase(non_member_heard_.begin());
-  }
 }
 
 void AtumNode::heartbeat_tick() {

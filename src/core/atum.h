@@ -156,7 +156,8 @@ class AtumNode {
   // Joins the system through a contact node (§3.3.2). Asynchronous: poll
   // joined() or run the simulator until it flips.
   void join(NodeId contact);
-  // Announces departure; the vgroup reconfigures this node out.
+  // Announces departure; the vgroup reconfigures this node out. The last
+  // member of its vgroup simply stops.
   void leave();
   // Two-phase broadcast (§3.3.4): SMR broadcast in the own vgroup, then
   // gossip across the overlay.
@@ -227,10 +228,8 @@ class AtumNode {
   void heartbeat_tick();
   // Re-aligns heard_at_ with vg_.members() after a reconfiguration from
   // `old_members`: a continuing member keeps its time, an admitted one
-  // takes its non-member time if it has one, else now; a removed one
-  // becomes a non-member.
+  // starts at now.
   void rebuild_heartbeat_record(const std::vector<NodeId>& old_members);
-  void remember_non_member(NodeId node, TimeMicros at);
   void evaluate_suspicions();
   Bytes snapshot_state() const;  // join reply payload
   // Decodes a join snapshot; fills `epoch_out` with the config-history
@@ -288,14 +287,6 @@ class AtumNode {
   // heard from (the runtime's start, or its admission, if never since);
   // every reconfiguration rebuilds it for the new member list.
   std::vector<TimeMicros> heard_at_;
-  // The same time for the last kNonMembersHeard non-members that were
-  // removed or sent a heartbeat, oldest first. A reconfiguration proposed
-  // before another one removed a member still lists it, so applying it
-  // re-admits that member; it resumes its old time here (a silent one is
-  // suspected at the next tick, not a full deadline later), and so does a
-  // joiner whose heartbeat arrived before its admission.
-  static constexpr std::size_t kNonMembersHeard = 16;
-  std::vector<std::pair<NodeId, TimeMicros>> non_member_heard_;
   // suspect -> accusers whose SuspectOp was decided.
   std::map<NodeId, std::set<NodeId>> accusations_;
 };

@@ -164,8 +164,8 @@ void ScenarioDriver::poll_pending_ops() {
         ++metrics_[op.phase].leaves_forced;
         sys_->node(op.node).stop();
       } else {
-        // Still a member: the leave proposal was superseded by a concurrent
-        // reconfig of the same vgroup. Announce again with fresh membership.
+        // Still a member: the removal is not confirmed yet. Announce again;
+        // a second remove decided after the first is a no-op.
         sys_->node(op.node).leave();
       }
     }

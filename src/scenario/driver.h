@@ -80,13 +80,11 @@ class ScenarioDriver {
     NodeId node = kInvalidNode;
     std::size_t phase = 0;
     bool join = false;  // else leave
-    // Leaves re-announce when stale: a leave proposal snapshots the vgroup
-    // membership, so a concurrent reconfig of the same group can supersede
-    // it; a real departing client would simply announce again — and after
-    // enough unconfirmed announcements, exit anyway (the group either
-    // already decided the removal without managing to tell us — deciding a
-    // config op retires the SMR instance that could have served it — or
-    // will evict the silent node via heartbeats).
+    // Leaves re-announce when unconfirmed, as a real departing client
+    // would, and after enough unconfirmed announcements exit anyway (the
+    // group either already decided the removal without managing to tell
+    // us — deciding a config op retires the SMR instance that could have
+    // served it — or will evict the silent node via heartbeats).
     TimeMicros last_attempt = 0;
     int attempts = 1;
   };

@@ -30,6 +30,28 @@ crypto::Digest chain_hash(const crypto::Digest& prev, const crypto::Digest& conf
 }
 }  // namespace
 
+Bytes encode_config_op(const ConfigChange& change) {
+  ByteWriter w;
+  w.u8(kConfigOp);
+  w.u8(static_cast<std::uint8_t>(change.kind));
+  w.u64(change.node);
+  return w.take();
+}
+
+std::optional<ConfigChange> decode_config_op(const net::Payload& wrapped) {
+  try {
+    ByteReader r(wrapped);
+    if (r.u8() != kConfigOp) return std::nullopt;
+    const std::uint8_t kind = r.u8();
+    if (kind > static_cast<std::uint8_t>(ConfigChange::Kind::kRemove)) return std::nullopt;
+    ConfigChange change{static_cast<ConfigChange::Kind>(kind), r.u64()};
+    r.expect_done();
+    return change;
+  } catch (const SerdeError&) {
+    return std::nullopt;
+  }
+}
+
 std::unique_ptr<SmrEngine> make_engine(net::Transport transport, GroupConfig config,
                                        crypto::KeyStore& keys, const EngineOptions& options) {
   if (options.kind == EngineKind::kSync) {
@@ -122,12 +144,8 @@ void ReconfigurableSmr::propose(Bytes op) {
   if (engine_) engine_->propose(std::move(wrapped));
 }
 
-void ReconfigurableSmr::propose_reconfig(GroupConfig new_config) {
-  new_config.normalize();
-  ByteWriter w;
-  w.u8(kConfigOp);
-  w.vec(new_config.members, [](ByteWriter& bw, NodeId n) { bw.u64(n); });
-  Bytes wrapped = w.take();
+void ReconfigurableSmr::propose_change(ConfigChange::Kind kind, NodeId node) {
+  Bytes wrapped = encode_config_op(ConfigChange{kind, node});
   unacked_.push_back(wrapped);
   if (engine_) engine_->propose(std::move(wrapped));
 }
@@ -150,76 +168,72 @@ void ReconfigurableSmr::on_engine_decide(NodeId origin, const net::Payload& wrap
   }
 
   ByteReader r(wrapped);
-  std::uint8_t tag;
   try {
-    tag = r.u8();
-    if (tag == kAppOp) {
+    if (r.u8() == kAppOp) {
       net::Payload op = wrapped.slice(r.bytes_view());  // unwrap without copying
       std::uint64_t seq = global_seq_++;
       if (decide_) decide_(seq, origin, op);
       return;
     }
-    if (tag != kConfigOp) return;  // unknown tag: faulty proposer, ignore
-
-    GroupConfig next;
-    next.members = r.vec<NodeId>([](ByteReader& br) { return br.u64(); });
-    next.normalize();
-    if (next.members.empty()) return;  // refuse to reconfigure to nothing
-    if (next.members == config_.members) return;  // no-op (e.g. several
-    // members proposed the same change and one already won)
-
-    ++global_seq_;
-    ++epoch_;
-    // Extend the config-history chain over the decided op's bytes. Every
-    // correct replica decides the same op at the same slot, so the chain
-    // head (and the next instance's tag) agrees group-wide.
-    epoch_hash_ = chain_hash(epoch_hash_, wrapped.digest());
-    pre_switch_members_ = config_.members;
-    config_ = next;
-    // Defer the engine swap out of the decide callback: the old engine is
-    // still on the stack. The switching_ cut above keeps this the only
-    // pending swap.
-    switching_ = true;
-    net_.simulator().schedule_after(0, [this] {
-      switching_ = false;
-      if (engine_) {
-        engine_->stop();
-        engine_.reset();
-      }
-      std::vector<NodeId> removed;
-      for (NodeId n : pre_switch_members_) {
-        if (!config_.contains(n)) removed.push_back(n);
-      }
-      if (config_.contains(self_)) {
-        start_engine();
-        // Continuing members tell the removed set the epoch moved on; a
-        // removed replica partitioned across the switch would otherwise
-        // wait forever on the retired instance (the leave-confirmation
-        // gap — the config op killed the instance that decided it).
-        send_removal_notices(removed);
-      }
-      if (config_changed_) config_changed_(epoch_, config_);  // may destroy this
-    });
   } catch (const SerdeError&) {
-    // Malformed decided op: a faulty origin proposed garbage. Skip it.
+    return;  // malformed decided op: a faulty origin proposed garbage
   }
+  const std::optional<ConfigChange> change = decode_config_op(wrapped);
+  if (!change) return;  // unknown tag or malformed config op: skip it
+
+  // Several members may propose the same change, and a carried-over op may
+  // already hold: a change that leaves the config as it is is a no-op.
+  const bool add = change->kind == ConfigChange::Kind::kAdd;
+  if (config_.contains(change->node) == add) return;
+  if (!add && config_.size() == 1) return;  // refuse to reconfigure to nothing
+
+  ++global_seq_;
+  ++epoch_;
+  // Extend the config-history chain over the decided op's bytes. Every
+  // correct replica decides the same op at the same slot, so the chain
+  // head (and the next instance's tag) agrees group-wide.
+  epoch_hash_ = chain_hash(epoch_hash_, wrapped.digest());
+  if (add) {
+    config_.members.push_back(change->node);
+    config_.normalize();
+  } else {
+    std::erase(config_.members, change->node);
+  }
+  const NodeId removed = add ? kInvalidNode : change->node;
+  // Defer the engine swap out of the decide callback: the old engine is
+  // still on the stack. The switching_ cut above keeps this the only
+  // pending swap.
+  switching_ = true;
+  net_.simulator().schedule_after(0, [this, removed] {
+    switching_ = false;
+    if (engine_) {
+      engine_->stop();
+      engine_.reset();
+    }
+    if (config_.contains(self_)) {
+      start_engine();
+      // Continuing members tell the removed node the epoch moved on; a
+      // removed replica partitioned across the switch would otherwise
+      // wait forever on the retired instance (the leave-confirmation
+      // gap — the config op killed the instance that decided it).
+      if (removed != kInvalidNode) send_removal_notices(removed);
+    }
+    if (config_changed_) config_changed_(epoch_, config_);  // may destroy this
+  });
 }
 
-void ReconfigurableSmr::send_removal_notices(const std::vector<NodeId>& removed) {
-  if (removed.empty()) return;
+void ReconfigurableSmr::send_removal_notices(NodeId removed) {
   ByteWriter w;
   w.u64(epoch_);
   w.raw(epoch_hash_.data(), epoch_hash_.size());
   w.vec(config_.members, [](ByteWriter& bw, NodeId n) { bw.u64(n); });
   Bytes notice = w.take();  // identical bytes at every correct continuing member
-  auto send_all = [this, removed, notice] {
-    for (NodeId n : removed) {
-      notice_transport_.send(n, net::MsgType::kSmrRemovalNotice, notice);
-    }
+  auto send = [this, removed, notice] {
+    notice_transport_.send(removed, net::MsgType::kSmrRemovalNotice, notice);
   };
-  send_all();
+  send();
   for (DurationMicros delay : kNoticeRetries) {
-    notice_timers_.push_back(net_.simulator().schedule_after(delay, send_all));
+    notice_timers_.push_back(net_.simulator().schedule_after(delay, send));
   }
 }
 

@@ -4,6 +4,12 @@
 // monotonically increasing sequence across epochs; operations proposed but
 // not yet decided when an epoch closes are re-proposed in the next epoch.
 //
+// A config op is one change, `kConfigOp, kind (add | remove), NodeId`,
+// applied to the config current when it is decided. Because a proposal
+// names only its own change, a carried-over op cannot undo a change decided
+// before it. Adding a member or removing a non-member is a no-op (no epoch
+// step); removing the last member is refused.
+//
 // Config-history hash chain: every epoch is identified by
 //   epoch_hash = SHA-256(prev_epoch_hash || config_op_digest)
 // rooted at a genesis hash over the initial member list. The chain value —
@@ -14,11 +20,11 @@
 // state-synced joiner resumes the chain at the group's position.
 //
 // Removal notices close the leave-confirmation gap at the protocol level: a
-// config op that removes members retires the very instance that decided it,
+// config op that removes a member retires the very instance that decided it,
 // so a removed replica partitioned across the switch would otherwise wait
 // forever on a dead instance (zombie member). After the switch, continuing
-// members send the removed set a kSmrRemovalNotice carrying the new epoch,
-// its chain hash and member list (retried on a short backoff); a removed
+// members send the removed node a kSmrRemovalNotice carrying the new epoch,
+// its chain hash and full member list (retried on a short backoff); a removed
 // node accepts once f+1 members of its own last-known config sent
 // byte-identical notices — at least one is correct — and fires the config
 // handler as if it had decided the op itself. The scenario driver's
@@ -64,6 +70,19 @@ struct EpochState {
   crypto::Digest hash{};
 };
 
+// One membership change, the body of a config op. The decoder is strict: a
+// config op arrives from a possibly Byzantine proposer, and an unknown kind,
+// a truncated op or trailing bytes decode to nullopt (the op is skipped).
+struct ConfigChange {
+  enum class Kind : std::uint8_t { kAdd = 0, kRemove = 1 };
+  Kind kind;
+  NodeId node;
+  bool operator==(const ConfigChange&) const = default;
+};
+Bytes encode_config_op(const ConfigChange& change);
+// nullopt unless `wrapped` is exactly one well-formed config op.
+std::optional<ConfigChange> decode_config_op(const net::Payload& wrapped);
+
 // Builds a fresh engine for a configuration. Exposed so tests can run both
 // kinds through one code path.
 std::unique_ptr<SmrEngine> make_engine(net::Transport transport, GroupConfig config,
@@ -84,8 +103,10 @@ class ReconfigurableSmr {
 
   // Proposes an application operation (totally ordered across epochs).
   void propose(Bytes op);
-  // Proposes a membership change; decided like any op, then switches epoch.
-  void propose_reconfig(GroupConfig new_config);
+  // Propose one membership change; decided like any op, then the epoch
+  // switches unless the change is a no-op against the config of that time.
+  void propose_add(NodeId node) { propose_change(ConfigChange::Kind::kAdd, node); }
+  void propose_remove(NodeId node) { propose_change(ConfigChange::Kind::kRemove, node); }
 
   void set_decide_handler(DecideFn fn) { decide_ = std::move(fn); }
   void set_config_handler(ConfigFn fn) { config_changed_ = std::move(fn); }
@@ -108,9 +129,10 @@ class ReconfigurableSmr {
   void stop();
 
  private:
+  void propose_change(ConfigChange::Kind kind, NodeId node);
   void start_engine();
   void on_engine_decide(NodeId origin, const net::Payload& wrapped);
-  void send_removal_notices(const std::vector<NodeId>& removed);
+  void send_removal_notices(NodeId removed);
   void on_removal_notice(const net::Message& msg);
 
   net::SimNetwork& net_;
@@ -135,9 +157,6 @@ class ReconfigurableSmr {
   // epoch change so reconfiguration cannot silently drop them.
   std::vector<Bytes> unacked_;
   bool switching_ = false;
-  // Members of the config that decided the pending switch; the removed set
-  // (pre-switch minus post-switch) gets notices after the swap.
-  std::vector<NodeId> pre_switch_members_;
   // Removal-notice retry timers (canceled in stop()).
   std::vector<sim::EventId> notice_timers_;
   // Notice digest -> senders; accepted at f+1 of the last-known config.

@@ -708,12 +708,12 @@ TEST(EpochChain, IdenticalMembershipsNonAdjacentEpochsGetDistinctTags) {
   };
   record(0);  // epoch 0 (A)
 
-  h.nodes[0]->propose_reconfig(members({0, 1, 2, 3, 4}));
+  h.nodes[0]->propose_add(4);
   h.run_for(seconds(5));
   ASSERT_EQ(h.nodes[0]->epoch(), 1u);
   record(0);  // epoch 1 (B)
 
-  h.nodes[1]->propose_reconfig(a);
+  h.nodes[1]->propose_remove(4);
   h.run_for(seconds(5));
   ASSERT_EQ(h.nodes[0]->epoch(), 2u);
   record(0);  // epoch 2 (A again)
@@ -747,7 +747,7 @@ TEST(EpochChain, PartitionedRemovedMemberLearnsRemovalFromNotices) {
 
   h.net.isolate(3, true);
   h.run_for(millis(100));
-  h.nodes[0]->propose_reconfig(members({0, 1, 2}));
+  h.nodes[0]->propose_remove(3);
   h.run_for(seconds(2));
   ASSERT_EQ(h.nodes[0]->epoch(), 1u);
   ASSERT_TRUE(h.nodes[3]->active()) << "zombie: decided out but never told";

@@ -291,6 +291,20 @@ TEST_P(ReconfigRandomChurn, MembersAgreeOnChainHeadAndDecisions) {
 
   int proposed = 0;
   std::vector<NodeId> live = cfg.members;
+  auto pick_outside = [&] {
+    std::vector<NodeId> outside;
+    for (NodeId n = 0; n < kPool; ++n) {
+      if (std::find(live.begin(), live.end(), n) == live.end()) outside.push_back(n);
+    }
+    return outside[rng.next_below(outside.size())];
+  };
+  auto propose_burst = [&] {
+    int burst = static_cast<int>(rng.next_in(0, 3));
+    for (int i = 0; i < burst; ++i) {
+      NodeId proposer = live[rng.next_below(live.size())];
+      nodes[proposer]->propose(op_bytes("op" + std::to_string(proposed++)));
+    }
+  };
   constexpr int kSteps = 10;
   bool reconfigured = false;
   for (int step = 0; step < kSteps; ++step) {
@@ -302,16 +316,10 @@ TEST_P(ReconfigRandomChurn, MembersAgreeOnChainHeadAndDecisions) {
       reconfigured = true;
       // Grow: pick an outside pool id, hand it the anchor's chain position
       // (the simulated join snapshot), then propose the config admitting it.
-      std::vector<NodeId> outside;
-      for (NodeId n = 0; n < kPool; ++n) {
-        if (std::find(live.begin(), live.end(), n) == live.end()) outside.push_back(n);
-      }
-      NodeId add = outside[rng.next_below(outside.size())];
+      NodeId add = pick_outside();
       live.push_back(add);
       std::sort(live.begin(), live.end());
-      GroupConfig next;
-      next.members = live;
-      nodes[anchor]->propose_reconfig(next);
+      nodes[anchor]->propose_add(add);
       sim.run_until(sim.now() + seconds(2));
       // The join snapshot is cut AFTER the switch (core/atum.cpp sends
       // state to newly admitted members once the config lands), so the
@@ -323,16 +331,36 @@ TEST_P(ReconfigRandomChurn, MembersAgreeOnChainHeadAndDecisions) {
       reconfigured = true;
       // Shrink: retire a random member; a survivor proposes.
       std::size_t idx = rng.next_below(live.size());
+      NodeId retire = live[idx];
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-      GroupConfig next;
-      next.members = live;
-      nodes[live[0]]->propose_reconfig(next);
+      nodes[live[0]]->propose_remove(retire);
     }
-    int burst = static_cast<int>(rng.next_in(0, 3));
-    for (int i = 0; i < burst; ++i) {
-      NodeId proposer = live[rng.next_below(live.size())];
-      nodes[proposer]->propose(op_bytes("op" + std::to_string(proposed++)));
-    }
+    propose_burst();
+    sim.run_until(sim.now() + seconds(5));
+  }
+  // Concurrent steps, drawn after the schedule above so its draws stay as
+  // they were: in one instant a member proposes admitting an outside id and
+  // another proposes retiring a third member. Whichever change is decided
+  // first, the other one still applies on top of it.
+  constexpr int kConcurrentSteps = 3;
+  for (int step = 0; step < kConcurrentSteps; ++step) {
+    NodeId add = pick_outside();
+    std::vector<NodeId> stay = live;
+    NodeId retire = stay[rng.next_below(stay.size())];
+    std::erase(stay, retire);
+    std::size_t adder = rng.next_below(stay.size());
+    std::size_t remover = (adder + 1 + rng.next_below(stay.size() - 1)) % stay.size();
+    nodes[stay[adder]]->propose_add(add);
+    nodes[stay[remover]]->propose_remove(retire);
+    live = stay;
+    live.push_back(add);
+    std::sort(live.begin(), live.end());
+    sim.run_until(sim.now() + seconds(2));
+    const ReconfigurableSmr& at = *nodes[stay[adder]];
+    ASSERT_TRUE(at.config().contains(add)) << "admission of " << add << " not decided (seed "
+                                           << GetParam() << ")";
+    spawn(add, at.config(), EpochState{at.epoch(), at.epoch_hash()});
+    propose_burst();
     sim.run_until(sim.now() + seconds(5));
   }
   sim.run_until(sim.now() + seconds(15));
