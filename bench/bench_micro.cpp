@@ -3,6 +3,9 @@
 // receiver, H-graph maintenance, and walk stepping.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <vector>
+
 #include "common/binomial.h"
 #include "common/rng.h"
 #include "common/serde.h"
@@ -67,6 +70,37 @@ static void BM_SimulatorThroughput(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatorThroughput);
+
+// The broadcast fan-out shape: ~40k pending events (peak_slots on perfbench
+// broadcast is ~37k) with horizons log-uniform from 0.3 ms (a network
+// delay) to 60 s (a TTL timer), and every popped event schedules one more.
+// Time per pop. BM_SimulatorThroughput's 1000 pre-sorted times never let
+// the queue grow.
+static void BM_SimulatorFanout(benchmark::State& state) {
+  constexpr std::size_t kPending = 40'000;
+  // Pre-drawn horizons, cycled, keep the RNG out of the timed loop.
+  struct Horizons {
+    std::vector<DurationMicros> d;
+    std::size_t next = 0;
+    DurationMicros draw() { return d[next++ & (d.size() - 1)]; }
+  } horizons;
+  Rng rng(0xFA40);
+  for (std::size_t i = 0; i < 4096; ++i) {
+    horizons.d.push_back(static_cast<DurationMicros>(300.0 * std::pow(200'000.0, rng.next_double())));
+  }
+  sim::Simulator sim;
+  struct Reschedule {
+    sim::Simulator* sim;
+    Horizons* h;
+    void operator()() const { sim->schedule_after(h->draw(), *this); }
+  };
+  for (std::size_t i = 0; i < kPending; ++i) sim.schedule_after(horizons.draw(), Reschedule{&sim, &horizons});
+  for (auto _ : state) {
+    sim.step();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SimulatorFanout);
 
 // Group broadcast fan-out: one 4 KiB payload sent to N recipients through
 // the simulated network, then delivered. This is Atum's hot path (every

@@ -1,15 +1,85 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
+#include <bit>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 namespace atum::sim {
 
 namespace {
-// Below this size a compaction sweep costs more than it saves.
-constexpr std::size_t kMinCompactHeap = 64;
+// Below this many queue entries a compaction sweep costs more than it saves.
+constexpr std::uint64_t kMinCompactEntries = 64;
+constexpr TimeMicros kNever = std::numeric_limits<TimeMicros>::max();
 }  // namespace
+
+Simulator::Block* Simulator::take_block() {
+  Block* blk = free_blocks_;
+  if (blk != nullptr) {
+    free_blocks_ = blk->next;
+  } else {
+    // lint: hot-path-alloc-ok(amortized queue growth: blocks are recycled through the free list, never freed)
+    blocks_.push_back(std::make_unique_for_overwrite<Block>());
+    blk = blocks_.back().get();
+  }
+  blk->next = nullptr;
+  return blk;
+}
+
+void Simulator::release_block(Block* blk) {
+  blk->next = free_blocks_;
+  free_blocks_ = blk;
+}
+
+void Simulator::push(std::size_t b, const Entry& e) {
+  Bucket& bk = buckets_[b];
+  if (bk.head == nullptr) {
+    bk.head = bk.tail = take_block();
+    bk.head_pos = bk.tail_len = 0;
+    bk.min = e.at;
+    nonempty_ |= std::uint64_t{1} << b;
+  } else {
+    if (bk.tail_len == kBlockEntries) {
+      bk.tail->next = take_block();
+      bk.tail = bk.tail->next;
+      bk.tail_len = 0;
+    }
+    if (e.at < bk.min) bk.min = e.at;
+  }
+  bk.tail->entries[bk.tail_len++] = e;
+}
+
+void Simulator::pop_front(std::size_t b) {
+  Bucket& bk = buckets_[b];
+  ++bk.head_pos;
+  if (bk.head == bk.tail) {
+    if (bk.head_pos == bk.tail_len) {
+      release_block(bk.head);
+      bk.head = bk.tail = nullptr;
+      nonempty_ &= ~(std::uint64_t{1} << b);
+    }
+  } else if (bk.head_pos == kBlockEntries) {
+    Block* next = bk.head->next;
+    release_block(bk.head);
+    bk.head = next;
+    bk.head_pos = 0;
+  }
+}
+
+template <typename Fn>
+void Simulator::drain(std::size_t b, Fn&& fn) {
+  const Bucket bk = buckets_[b];
+  buckets_[b].head = buckets_[b].tail = nullptr;
+  nonempty_ &= ~(std::uint64_t{1} << b);
+  std::uint32_t i = bk.head_pos;
+  for (Block* blk = bk.head; blk != nullptr; i = 0) {
+    const std::uint32_t end = blk == bk.tail ? bk.tail_len : kBlockEntries;
+    for (; i < end; ++i) fn(blk->entries[i]);
+    Block* next = blk->next;
+    release_block(blk);
+    blk = next;
+  }
+}
 
 EventId Simulator::schedule_at(TimeMicros t, EventFn fn) {
   if (t < now_) t = now_;  // clamp: "immediately" for past deadlines
@@ -29,8 +99,7 @@ EventId Simulator::schedule_at(TimeMicros t, EventFn fn) {
   s.fn = std::move(fn);
   s.armed = true;
   EventId id = make_id(s.gen, idx);
-  heap_.push_back(Entry{t, next_seq_++, id});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  push(bucket_of(t), Entry{t, id});
   ++live_;
   return id;
 }
@@ -52,32 +121,60 @@ void Simulator::cancel(EventId id) {
   if (!slot_matches(id)) return;  // unknown, already fired, or cancelled
   release_slot(index_of(id));
   --live_;
-  ++stale_in_heap_;  // the heap entry stays behind until popped or swept
+  ++stale_;  // the queue entry stays behind until popped or swept
   maybe_compact();
 }
 
 void Simulator::maybe_compact() {
-  if (heap_.size() < kMinCompactHeap || stale_in_heap_ * 2 <= heap_.size()) return;
-  std::erase_if(heap_, [this](const Entry& e) { return !slot_matches(e.id); });
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-  stale_in_heap_ = 0;
+  const std::uint64_t entries = live_ + stale_;
+  if (entries < kMinCompactEntries || stale_ * 2 <= entries) return;
+  // Each bucket is refilled with its own live entries in their order, so
+  // equal-time entries keep their scheduling order.
+  for (std::uint64_t rest = nonempty_; rest != 0; rest &= rest - 1) {
+    const auto b = static_cast<std::size_t>(std::countr_zero(rest));
+    drain(b, [this, b](const Entry& e) {
+      if (slot_matches(e.id)) push(b, e);
+    });
+  }
+  stale_ = 0;
 }
 
-bool Simulator::settle_top() {
-  while (!heap_.empty()) {
-    if (slot_matches(heap_.front().id)) return true;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-    --stale_in_heap_;
+bool Simulator::settle(TimeMicros limit) {
+  while (nonempty_ != 0) {
+    if ((nonempty_ & 1) != 0) {
+      const Bucket& bk = buckets_[0];
+      const Entry& e = bk.head->entries[bk.head_pos];
+      if (slot_matches(e.id)) return e.at <= limit;
+      pop_front(0);
+      --stale_;
+      continue;
+    }
+    // The lowest non-empty bucket holds the next event. Its minimum (of
+    // live or stale entries alike) becomes the base, and its entries
+    // spread, in order, over the buckets below it.
+    const auto b = static_cast<std::size_t>(std::countr_zero(nonempty_));
+    Bucket& bk = buckets_[b];
+    if (bk.min > limit) return false;
+    base_ = bk.min;
+    if (bk.head == bk.tail && bk.tail_len - bk.head_pos == 1) {
+      // A lone entry is bucket 0 as it stands: relink, copy nothing.
+      buckets_[0] = bk;
+      bk.head = bk.tail = nullptr;
+      nonempty_ ^= (std::uint64_t{1} << b) | 1;
+      continue;
+    }
+    drain(b, [this](const Entry& e) { push(bucket_of(e.at), e); });
   }
+  // Only stale entries were left: the base may have passed the clock.
+  base_ = now_;
   return false;
 }
 
 bool Simulator::step() {
-  if (!settle_top()) return false;
-  Entry e = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
+  if (!settle(kNever)) return false;
+  Bucket& front = buckets_[0];
+  const Entry e = front.head->entries[front.head_pos];
+  pop_front(0);
   std::uint32_t idx = index_of(e.id);
   Slot& s = slot_at(idx);
   // Disarm first: the handle dies and cancel() on it no-ops. The chunked
@@ -112,7 +209,7 @@ std::uint64_t Simulator::run(std::uint64_t limit) {
 
 std::uint64_t Simulator::run_until(TimeMicros t) {
   std::uint64_t n = 0;
-  while (settle_top() && heap_.front().at <= t) {
+  while (settle(t)) {
     step();
     ++n;
   }

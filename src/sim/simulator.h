@@ -7,17 +7,26 @@
 //
 // Storage model: event closures live in a generation-stamped slot arena of
 // fixed-size chunks (stable addresses — closures are placed once and
-// execute in place, never relocated); the heap orders lightweight
-// {time, seq, id} entries. Closures are held in EventFn, a small-buffer-
-// optimized callable sized for the message-delivery closure, so the
-// per-event hot path performs no heap allocation at all. cancel() is O(1)
-// amortized — it frees the closure and recycles the slot immediately, and
-// stale heap entries are swept by periodic compaction once they outnumber
-// the live ones. Under churn (schedule/cancel cycles, e.g. heartbeat
-// timeouts across 100k nodes) memory stays proportional to the number of
-// *pending* events, not to the number ever scheduled or cancelled.
+// execute in place, never relocated). The queue orders 16-byte {time, id}
+// entries in a monotone radix bucket queue: event times never go below the
+// clock, so an entry is filed under the highest bit in which its time
+// differs from the queue's base (the last popped time), and a pop only
+// ever re-buckets the lowest non-empty bucket against its minimum. Buckets
+// are FIFO chains of fixed-size blocks drawn from one shared free list, so
+// equal-time entries keep their scheduling order without a sequence number
+// and queue memory follows the pending entries, not each bucket's own peak. Closures are held in EventFn,
+// a small-buffer-optimized callable sized for the message-delivery
+// closure, so the per-event hot path performs no heap allocation at all.
+// cancel() is O(1) amortized — it frees the closure and recycles the slot
+// immediately, and stale queue entries are swept by periodic compaction
+// once they outnumber the live ones. Under churn (schedule/cancel cycles,
+// e.g. heartbeat timeouts across 100k nodes) memory stays proportional to
+// the number of *pending* events, not to the number ever scheduled or
+// cancelled.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -197,9 +206,9 @@ class Simulator {
   // Exact count of pending (scheduled, not yet fired or cancelled) events.
   std::uint64_t live_events() const { return live_; }
 
-  // Introspection for memory-bound tests/benches: heap entries (live +
+  // Introspection for memory-bound tests/benches: queue entries (live +
   // not-yet-swept stale) and arena size (peak concurrent live events).
-  std::size_t heap_size() const { return heap_.size(); }
+  std::size_t queued_entries() const { return live_ + stale_; }
   std::size_t slot_count() const { return slot_count_; }
 
  private:
@@ -225,15 +234,42 @@ class Simulator {
   }
   struct Entry {
     TimeMicros at;
-    std::uint64_t seq;  // FIFO among same-time events
     EventId id;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
+  // Queue storage: a bucket is a FIFO chain of fixed-size blocks, and
+  // every bucket takes and returns blocks through one shared free list.
+  static constexpr std::uint32_t kBlockEntries = 127;
+  struct Block {
+    Block* next;  // first: shares a cache line with the first entries
+    Entry entries[kBlockEntries];
   };
+  struct Bucket {
+    Block* head = nullptr;  // nullptr <=> empty
+    Block* tail = nullptr;
+    // Lowest time pushed since the bucket was last empty, cancelled
+    // entries included: still a time in this bucket's range.
+    TimeMicros min = 0;
+    std::uint32_t head_pos = 0;  // next entry to pop in head
+    std::uint32_t tail_len = 0;  // entries written in tail
+  };
+  // Times are non-negative int64s, so two of them differ at most in bit
+  // 62: bucket 0 holds time == base_, bucket b the times whose highest bit
+  // differing from base_ is b - 1, and 64 buckets cover every time.
+  static_assert(std::is_same_v<TimeMicros, std::int64_t>);
+  static constexpr int kBuckets = 64;
+
+  std::size_t bucket_of(TimeMicros t) const {
+    return static_cast<std::size_t>(
+        std::bit_width(static_cast<std::uint64_t>(t) ^ static_cast<std::uint64_t>(base_)));
+  }
+  void push(std::size_t b, const Entry& e);
+  void pop_front(std::size_t b);
+  // Empties bucket b, handing fn its entries in order; each block returns
+  // to the free list once visited, so fn may push anywhere.
+  template <typename Fn>
+  void drain(std::size_t b, Fn&& fn);
+  Block* take_block();
+  void release_block(Block* blk);
 
   static constexpr EventId make_id(std::uint32_t gen, std::uint32_t idx) {
     return (static_cast<EventId>(gen) << 32) | idx;
@@ -249,16 +285,22 @@ class Simulator {
   }
   // Frees the closure, invalidates outstanding handles, recycles the slot.
   void release_slot(std::uint32_t idx);
-  // Pops heap entries until the top is live; returns false if none is.
-  bool settle_top();
+  // Drops stale entries and re-buckets until the front of bucket 0 is a
+  // live event due at or before `limit`; returns false if there is none.
+  // The base never moves past `limit`, so after run_until(t) stops short,
+  // scheduling anywhere in [t, next event) stays legal.
+  bool settle(TimeMicros limit);
   void maybe_compact();
 
   TimeMicros now_ = 0;
-  std::uint64_t next_seq_ = 0;
+  TimeMicros base_ = 0;  // time of bucket 0's entries; never above now_ between calls
   std::uint64_t executed_ = 0;
   std::uint64_t live_ = 0;
-  std::uint64_t stale_in_heap_ = 0;
-  std::vector<Entry> heap_;  // binary min-heap via std::push_heap/pop_heap
+  std::uint64_t stale_ = 0;     // queue entries whose event was cancelled
+  std::uint64_t nonempty_ = 0;  // bit b set <=> bucket b holds entries
+  std::array<Bucket, kBuckets> buckets_{};
+  std::vector<std::unique_ptr<Block>> blocks_;  // every block ever made
+  Block* free_blocks_ = nullptr;
   std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
   // lint: adhoc-counter-ok(arena bookkeeping; exposed via the sim.slot_count registry probe)
   std::size_t slot_count_ = 0;  // slots ever minted (peak concurrent live events)

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -214,14 +219,14 @@ TEST(Simulator, CancelledFiredAndUnknownIdsDoNotAccumulate) {
     EXPECT_EQ(s.live_events(), 0u);
     EXPECT_TRUE(s.empty());
   }
-  EXPECT_EQ(s.heap_size(), 0u);
+  EXPECT_EQ(s.queued_entries(), 0u);
   EXPECT_LE(s.slot_count(), 4u);  // arena tracks peak concurrency, not history
 }
 
 TEST(Simulator, MemoryBoundedUnderScheduleCancelChurn) {
   // 1M schedule/cancel cycles with a rolling window of pending events — the
   // heartbeat-timeout pattern of a 100k-node run. The seed's tombstone set
-  // grew with every cancel; the slot arena and heap must stay proportional
+  // grew with every cancel; the slot arena and queue must stay proportional
   // to the window, not to the cycle count.
   Simulator s;
   constexpr std::size_t kWindow = 1024;
@@ -236,7 +241,7 @@ TEST(Simulator, MemoryBoundedUnderScheduleCancelChurn) {
     }
     ASSERT_LE(s.live_events(), kWindow);
     ASSERT_LE(s.slot_count(), 2 * kWindow);
-    ASSERT_LE(s.heap_size(), 4 * kWindow);  // stale entries swept by compaction
+    ASSERT_LE(s.queued_entries(), 4 * kWindow);  // stale entries swept by compaction
   }
   EXPECT_EQ(s.live_events(), kWindow);
   for (EventId id : pending) s.cancel(id);
@@ -294,6 +299,135 @@ TEST(Simulator, DeterministicInterleaving) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// Drives one Simulator with random schedules, cancels, nested schedules and
+// short-stopping run_until calls, and checks every fired event against a
+// reference that orders the pending events by (time, insertion).
+class QueueModel {
+ public:
+  explicit QueueModel(std::uint64_t seed) : rng_(seed) {}
+
+  void run(int ops) {
+    for (int i = 0; i < ops; ++i) {
+      switch (rng_.next_below(9)) {
+        case 0: schedule(s_.now() + horizon()); break;
+        case 1: {  // a burst of equal times
+          const TimeMicros at = s_.now() + horizon();
+          for (auto k = rng_.next_in(2, 12); k > 0; --k) schedule(at);
+          break;
+        }
+        case 2: {  // join a pending time, possibly filed under an older base
+          if (ref_.empty()) break;
+          schedule(pick()->first.first);
+          break;
+        }
+        case 3: {
+          const DurationMicros d = horizon();
+          const Key key{s_.now() + d, next_insertion_++};
+          ref_.emplace(key, s_.schedule_after(d, [this, key] { fire(key); }));
+          break;
+        }
+        case 4: if (!ref_.empty()) cancel(ref_.begin()); break;
+        case 5: if (!ref_.empty()) cancel(pick()); break;
+        case 6:
+          for (auto n = ref_.size() * 2 / 3; n > 0; --n) cancel(pick());
+          break;
+        case 7: s_.run(rng_.next_in(1, 64)); break;
+        case 8: run_until_short(); break;
+      }
+      ASSERT_EQ(s_.live_events(), ref_.size());
+    }
+    s_.run();
+    EXPECT_TRUE(ref_.empty());
+    EXPECT_EQ(s_.executed_events(), fired_);
+  }
+
+  std::uint64_t out_of_order() const { return out_of_order_; }
+  std::uint64_t compactions() const { return compactions_; }
+  std::uint64_t fired() const { return fired_; }
+
+ private:
+  using Key = std::pair<TimeMicros, std::uint64_t>;  // (time, insertion)
+  using Ref = std::map<Key, EventId>;
+
+  // Horizons from 0 to 2^40 µs, spread evenly over their bit widths.
+  DurationMicros horizon() {
+    return static_cast<DurationMicros>(rng_.next_below(std::uint64_t{1} << rng_.next_below(41)));
+  }
+  Ref::iterator pick() {
+    return std::next(ref_.begin(), static_cast<std::ptrdiff_t>(rng_.next_below(ref_.size())));
+  }
+
+  void schedule(TimeMicros at) {
+    const Key key{at, next_insertion_++};
+    ref_.emplace(key, s_.schedule_at(at, [this, key] { fire(key); }));
+  }
+  void cancel(Ref::iterator it) {
+    const std::size_t before = s_.queued_entries();
+    s_.cancel(it->second);
+    ref_.erase(it);
+    // A cancel leaves its entry queued unless it set off a compaction.
+    if (s_.queued_entries() < before) ++compactions_;
+  }
+  // Stops short of the next event, then schedules inside [t, next event).
+  void run_until_short() {
+    if (ref_.empty()) return;
+    const TimeMicros next = ref_.begin()->first.first;
+    if (next <= s_.now()) return;
+    const TimeMicros t = s_.now() + static_cast<TimeMicros>(
+                                        rng_.next_below(static_cast<std::uint64_t>(next - s_.now())));
+    EXPECT_EQ(s_.run_until(t), 0u);
+    EXPECT_EQ(s_.now(), t);
+    schedule(t);
+    schedule(t + static_cast<TimeMicros>(rng_.next_below(static_cast<std::uint64_t>(next - t))));
+  }
+
+  void fire(Key key) {
+    if (ref_.empty() || ref_.begin()->first != key || s_.now() != key.first) {
+      if (out_of_order_++ == 0) {
+        ADD_FAILURE() << "fired (" << key.first << ", #" << key.second << ") at " << s_.now()
+                      << "; reference expected "
+                      << (ref_.empty() ? std::string("nothing")
+                                       : "(" + std::to_string(ref_.begin()->first.first) + ", #" +
+                                             std::to_string(ref_.begin()->first.second) + ")");
+      }
+    }
+    ref_.erase(key);
+    ++fired_;
+    // Nested use from inside a callback: schedules (some at this very
+    // instant) and a cancel.
+    if (rng_.chance(0.3)) {
+      for (auto k = rng_.next_in(1, 3); k > 0; --k) {
+        schedule(rng_.chance(0.3) ? s_.now() : s_.now() + horizon());
+      }
+    }
+    if (rng_.chance(0.1) && !ref_.empty()) cancel(pick());
+  }
+
+  Rng rng_;
+  Simulator s_;
+  Ref ref_;  // pending events in firing order
+  std::uint64_t next_insertion_ = 0;
+  std::uint64_t fired_ = 0;
+  std::uint64_t out_of_order_ = 0;
+  std::uint64_t compactions_ = 0;
+};
+
+TEST(Simulator, MatchesAReferenceQueueUnderRandomUse) {
+  std::uint64_t compactions = 0;
+  std::uint64_t fired = 0;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    QueueModel model(seed);
+    model.run(3000);
+    EXPECT_EQ(model.out_of_order(), 0u);
+    compactions += model.compactions();
+    fired += model.fired();
+  }
+  // The mix really exercised compaction and a long run of pops.
+  EXPECT_GT(compactions, 64u);
+  EXPECT_GT(fired, 64u * 1000u);
 }
 
 // ---------------------------------------------------------------------------
