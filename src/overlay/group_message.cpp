@@ -106,12 +106,8 @@ void GroupMessageReceiver::maybe_rotate_delivered() {
 }
 
 void GroupMessageReceiver::on_message(const net::Message& msg) {
-  if (transport_.simulator().now() >= housekeep_at_) {
-    gc_expired();
-    maybe_rotate_delivered();
-    housekeep_at_ = delivered_rotate_at_;
-    if (!gc_queue_.empty()) housekeep_at_ = std::min(housekeep_at_, gc_queue_.front().first);
-  }
+  gc_expired();
+  maybe_rotate_delivered();
 
   const bool is_full = msg.type == net::MsgType::kGroupMsgFull;
   GroupMessageId id;
@@ -144,9 +140,7 @@ void GroupMessageReceiver::on_message(const net::Message& msg) {
   if (fresh) {
     // New entry: even if it never delivers (digest-only flood, content
     // short of majority, unknown sender group) it expires after a TTL.
-    const TimeMicros expires = transport_.simulator().now() + tombstone_ttl_;
-    gc_queue_.emplace_back(expires, id);
-    housekeep_at_ = std::min(housekeep_at_, expires);
+    gc_queue_.emplace_back(transport_.simulator().now() + tombstone_ttl_, id);
   }
   // Duplicate of a delivered id inside the rotation window: dropped
   // before it can re-deliver.

@@ -183,10 +183,6 @@ class GroupMessageReceiver {
   std::deque<std::pair<TimeMicros, GroupMessageId>> gc_queue_;
   std::uint32_t generation_ = 0;
   TimeMicros delivered_rotate_at_ = 0;
-  // The earlier of the gc queue's front deadline and delivered_rotate_at_:
-  // before it, gc_expired and maybe_rotate_delivered would do nothing, so
-  // a frame skips both on one compare.
-  TimeMicros housekeep_at_ = 0;
 };
 
 }  // namespace atum::overlay

@@ -81,6 +81,22 @@ void Simulator::drain(std::size_t b, Fn&& fn) {
   }
 }
 
+std::size_t Simulator::queued_entries() const {
+  std::size_t n = 0;
+  for (const Bucket& bk : buckets_) {
+    if (bk.head == nullptr) continue;
+    n += bk.tail_len - bk.head_pos;
+    for (const Block* blk = bk.head; blk != bk.tail; blk = blk->next) n += kBlockEntries;
+  }
+  return n;
+}
+
+std::size_t Simulator::queue_blocks_in_use() const {
+  std::size_t free = 0;
+  for (const Block* blk = free_blocks_; blk != nullptr; blk = blk->next) ++free;
+  return blocks_.size() - free;
+}
+
 EventId Simulator::schedule_at(TimeMicros t, EventFn fn) {
   if (t < now_) t = now_;  // clamp: "immediately" for past deadlines
   std::uint32_t idx;
@@ -153,16 +169,9 @@ bool Simulator::settle(TimeMicros limit) {
     // live or stale entries alike) becomes the base, and its entries
     // spread, in order, over the buckets below it.
     const auto b = static_cast<std::size_t>(std::countr_zero(nonempty_));
-    Bucket& bk = buckets_[b];
+    const Bucket& bk = buckets_[b];
     if (bk.min > limit) return false;
     base_ = bk.min;
-    if (bk.head == bk.tail && bk.tail_len - bk.head_pos == 1) {
-      // A lone entry is bucket 0 as it stands: relink, copy nothing.
-      buckets_[0] = bk;
-      bk.head = bk.tail = nullptr;
-      nonempty_ ^= (std::uint64_t{1} << b) | 1;
-      continue;
-    }
     drain(b, [this](const Entry& e) { push(bucket_of(e.at), e); });
   }
   // Only stale entries were left: the base may have passed the clock.

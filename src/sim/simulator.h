@@ -206,10 +206,20 @@ class Simulator {
   // Exact count of pending (scheduled, not yet fired or cancelled) events.
   std::uint64_t live_events() const { return live_; }
 
-  // Introspection for memory-bound tests/benches: queue entries (live +
-  // not-yet-swept stale) and arena size (peak concurrent live events).
-  std::size_t queued_entries() const { return live_ + stale_; }
+  // Introspection for memory-bound tests/benches, read off the storage
+  // itself: entries held in the buckets (live + not-yet-swept stale),
+  // queue blocks holding them, queue blocks ever allocated, and arena size
+  // (peak concurrent live events). The first three walk the queue.
+  std::size_t queued_entries() const;
+  std::size_t queue_blocks_in_use() const;
+  std::size_t queue_blocks_allocated() const { return blocks_.size(); }
   std::size_t slot_count() const { return slot_count_; }
+
+  // Queue entries per storage block, and the number of buckets. A bucket
+  // holds at most two partly filled blocks, so the blocks in use never
+  // exceed queued_entries() / kBlockEntries + 2 * kBuckets.
+  static constexpr std::uint32_t kBlockEntries = 127;
+  static constexpr int kBuckets = 64;
 
  private:
   struct Slot {
@@ -238,7 +248,6 @@ class Simulator {
   };
   // Queue storage: a bucket is a FIFO chain of fixed-size blocks, and
   // every bucket takes and returns blocks through one shared free list.
-  static constexpr std::uint32_t kBlockEntries = 127;
   struct Block {
     Block* next;  // first: shares a cache line with the first entries
     Entry entries[kBlockEntries];
@@ -256,7 +265,6 @@ class Simulator {
   // 62: bucket 0 holds time == base_, bucket b the times whose highest bit
   // differing from base_ is b - 1, and 64 buckets cover every time.
   static_assert(std::is_same_v<TimeMicros, std::int64_t>);
-  static constexpr int kBuckets = 64;
 
   std::size_t bucket_of(TimeMicros t) const {
     return static_cast<std::size_t>(

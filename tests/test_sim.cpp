@@ -220,6 +220,8 @@ TEST(Simulator, CancelledFiredAndUnknownIdsDoNotAccumulate) {
     EXPECT_TRUE(s.empty());
   }
   EXPECT_EQ(s.queued_entries(), 0u);
+  EXPECT_EQ(s.queue_blocks_in_use(), 0u);
+  EXPECT_LE(s.queue_blocks_allocated(), 2u);  // blocks are recycled, not re-made
   EXPECT_LE(s.slot_count(), 4u);  // arena tracks peak concurrency, not history
 }
 
@@ -230,6 +232,9 @@ TEST(Simulator, MemoryBoundedUnderScheduleCancelChurn) {
   // to the window, not to the cycle count.
   Simulator s;
   constexpr std::size_t kWindow = 1024;
+  // Blocks for 4 * kWindow entries, plus a partly filled head and tail per
+  // bucket.
+  constexpr std::size_t kMaxBlocks = 4 * kWindow / Simulator::kBlockEntries + 2 * Simulator::kBuckets;
   std::vector<EventId> pending;
   pending.reserve(kWindow);
   for (std::size_t i = 0; i < 1'000'000; ++i) {
@@ -242,12 +247,17 @@ TEST(Simulator, MemoryBoundedUnderScheduleCancelChurn) {
     ASSERT_LE(s.live_events(), kWindow);
     ASSERT_LE(s.slot_count(), 2 * kWindow);
     ASSERT_LE(s.queued_entries(), 4 * kWindow);  // stale entries swept by compaction
+    ASSERT_LE(s.queue_blocks_in_use(), kMaxBlocks);
+    // A drain holds at most one block beyond the ones it refills.
+    ASSERT_LE(s.queue_blocks_allocated(), kMaxBlocks + 1);
   }
   EXPECT_EQ(s.live_events(), kWindow);
   for (EventId id : pending) s.cancel(id);
   EXPECT_EQ(s.live_events(), 0u);
   s.run();
   EXPECT_EQ(s.executed_events(), 0u);  // everything was cancelled in time
+  EXPECT_EQ(s.queued_entries(), 0u);
+  EXPECT_EQ(s.queue_blocks_in_use(), 0u);
 }
 
 TEST(Simulator, SlotReuseDoesNotResurrectOldHandles) {
@@ -367,8 +377,12 @@ class QueueModel {
     const std::size_t before = s_.queued_entries();
     s_.cancel(it->second);
     ref_.erase(it);
-    // A cancel leaves its entry queued unless it set off a compaction.
-    if (s_.queued_entries() < before) ++compactions_;
+    // A cancel leaves its entry queued unless it set off a compaction,
+    // which must really drop the stale entries.
+    if (s_.queued_entries() < before) {
+      ++compactions_;
+      EXPECT_EQ(s_.queued_entries(), s_.live_events());
+    }
   }
   // Stops short of the next event, then schedules inside [t, next event).
   void run_until_short() {
